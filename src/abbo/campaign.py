@@ -206,7 +206,7 @@ class SyntheticOracle:
         direction = rng.standard_normal(64)
         self._direction = direction / np.linalg.norm(direction)
         self._embedder = SyntheticFeatureProvider(parental, seed=0, embedding_dim=64)
-        self._parental_embedding = self._embedder.features(parental).embedding
+        self._parental_embedding = self._embedder.embedding(parental)
 
     def _random_non_parental(self, rng: np.random.Generator, position: int) -> int:
         options = [k for k in range(len(ALPHABET)) if ALPHABET[k] != self.parental[position]]
@@ -230,7 +230,7 @@ class SyntheticOracle:
         for i, a, j, b, w in self.pairs:
             if self._aa_index[seq[i]] == a and self._aa_index[seq[j]] == b:
                 total += w
-        embedding = self._embedder.features(seq).embedding
+        embedding = self._embedder.embedding(seq)
         total += self.smooth_scale * float(
             (embedding - self._parental_embedding) @ self._direction
         )
@@ -1237,6 +1237,12 @@ def validate_campaign(config: CampaignConfig) -> list[str]:
     except (FixtureError, ConfigError) as err:
         problems.append(str(err))
         return problems
+    if isinstance(oracle, FixtureOracle):
+        problems.append(
+            f"the fixture oracle labels only the {len(oracle.table)} sequences of its "
+            "table, but every round acquires newly proposed designs; the campaign will "
+            "stop with a fixture error at the first one outside the table"
+        )
 
     try:
         kernel = _build_kernel(spec, providers, config)

@@ -3,10 +3,11 @@
 Exit codes are stable:
   0  success
   1  unexpected error
-  2  fixture problem (missing or malformed data file)
+  2  bad usage (argparse: unknown command or option, missing argument)
   3  configuration problem (bad config, unknown method, bad override)
-  4  numerical failure (factorization or solver breakdown)
+  4  fixture problem (missing or malformed data file)
   5  `validate` found violations
+  6  numerical failure (factorization or solver breakdown)
 """
 
 from __future__ import annotations
@@ -33,10 +34,11 @@ from .exceptions import ConfigError, FixtureError, NumericalError
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
-EXIT_FIXTURE = 2
+EXIT_USAGE = 2  # raised by argparse itself, as SystemExit
 EXIT_CONFIG = 3
-EXIT_NUMERICAL = 4
+EXIT_FIXTURE = 4
 EXIT_VIOLATIONS = 5
+EXIT_NUMERICAL = 6
 
 
 def _build_parser() -> argparse.ArgumentParser:

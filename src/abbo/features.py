@@ -270,20 +270,34 @@ class SyntheticFeatureProvider:
             self._embed_table = table
         return self._embed_table
 
+    def _embed(self, seq: str) -> np.ndarray:
+        table = self._embedding_table()
+        idx = np.fromiter((AA_INDEX[c] for c in seq), dtype=int, count=len(seq))
+        return table[np.arange(len(seq)), idx].mean(axis=0)
+
     def _build(self, seq: str) -> FeatureBundle:
         raw = _raw_synthetic_coords(seq, self.seed)
         aligned, _ = kabsch_align(raw, self.parental_coords)
-        table = self._embedding_table()
-        idx = np.fromiter((AA_INDEX[c] for c in seq), dtype=int, count=len(seq))
-        embedding = table[np.arange(len(seq)), idx].mean(axis=0)
-        return FeatureBundle(embedding=embedding, coords=aligned.ravel())
+        return FeatureBundle(embedding=self._embed(seq), coords=aligned.ravel())
 
-    def features(self, seq: str) -> FeatureBundle:
+    def _check(self, seq: str) -> None:
         validate_sequence(seq)
         if len(seq) != len(self.parental):
             raise ValueError(
                 f"sequence length {len(seq)} != parental length {len(self.parental)}"
             )
+
+    def embedding(self, seq: str) -> np.ndarray:
+        """The embedding of `features(seq)` alone: no coordinates, no alignment.
+
+        Not cached and not counted in `computations`; it costs one table
+        lookup per site.
+        """
+        self._check(seq)
+        return self._embed(seq)
+
+    def features(self, seq: str) -> FeatureBundle:
+        self._check(seq)
         with self._lock:
             bundle = self._cache.get(seq)
             if bundle is None:

@@ -4,6 +4,15 @@ Inference is plain Cholesky: no inducing points, no stochastic tricks. The fit
 runs multi-start L-BFGS-B over transformed hyperparameters (log for positive
 parameters, logit for mixture weights, identity for prior-mean coefficients)
 with exact gradients assembled from the kernels' Gram derivatives.
+
+A Tanimoto kernel under a constant mean is fitted in the spectral domain
+instead (the FaST-LMM reparameterisation, Lippert et al., Nature Methods
+2011). There K = variance * S with the similarity S fixed for the whole fit,
+so S = Q diag(lam) Q^T is decomposed once, y and the ones vector are rotated
+into Q once, and every objective evaluation is O(n) in d = variance * lam +
+noise. This is exact, not an approximation; the fitted model is still
+factorized densely once at the optimum, so `GPModel` and `predict` do not
+depend on which route found the hyperparameters.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from scipy.linalg import cho_solve, solve_triangular
 from scipy.optimize import minimize
 
 from .exceptions import NumericalError
-from .kernels import Kernel
+from .kernels import Kernel, TanimotoKernel
 from .plm import PROB_FLOOR
 from .sequences import AA_INDEX, ALPHABET, MutationSet
 
@@ -40,6 +49,14 @@ NOISE_BOUNDS = (1e-8, 10.0)
 _JITTER_STEPS = 7
 
 
+def _jitter_schedule(mean_diag: float) -> list[float]:
+    """Diagonal jitters to try in order, scaled by the matrix's mean diagonal."""
+    scale = float(mean_diag)
+    if scale <= 0 or not np.isfinite(scale):
+        scale = 1.0
+    return [0.0] + [scale * 1e-10 * 10.0**k for k in range(_JITTER_STEPS)]
+
+
 def cholesky_with_jitter(a: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of `a`, adding as little diagonal jitter as needed.
 
@@ -47,10 +64,7 @@ def cholesky_with_jitter(a: np.ndarray) -> tuple[np.ndarray, float]:
     1e-4 * mean(diag). Raises NumericalError when even that fails.
     """
     a = np.asarray(a, dtype=float)
-    scale = float(np.mean(np.diag(a)))
-    if scale <= 0 or not np.isfinite(scale):
-        scale = 1.0
-    jitters = [0.0] + [scale * 1e-10 * 10.0**k for k in range(_JITTER_STEPS)]
+    jitters = _jitter_schedule(np.mean(np.diag(a)))
     eye = np.eye(a.shape[0])
     for jitter in jitters:
         try:
@@ -101,7 +115,12 @@ def zero_shot_score(log_table: np.ndarray, mutations: MutationSet) -> float:
 
 
 class _MeanBase:
-    """Prior means share the kernels' parameter conventions (linear transform)."""
+    """Prior means share the kernels' parameter conventions (linear transform).
+
+    Like kernels, a mean splits into `prepare` (whatever does not depend on
+    the parameters, computed once per point list) and the `*_prepared`
+    evaluations that the fit repeats.
+    """
 
     def __init__(self) -> None:
         self._values: dict[str, float] = {}
@@ -134,11 +153,17 @@ class _MeanBase:
     def bounds(self, name: str) -> tuple[float, float]:
         return (-1e6, 1e6)
 
-    def values(self, inputs) -> np.ndarray:
+    def prepare(self, inputs):
         raise NotImplementedError
 
-    def grads(self, inputs) -> dict[str, np.ndarray]:
+    def values_prepared(self, prep) -> np.ndarray:
         raise NotImplementedError
+
+    def grads_prepared(self, prep) -> dict[str, np.ndarray]:
+        raise NotImplementedError
+
+    def values(self, inputs) -> np.ndarray:
+        return self.values_prepared(self.prepare(inputs))
 
 
 class ConstantMean(_MeanBase):
@@ -148,12 +173,13 @@ class ConstantMean(_MeanBase):
         super().__init__()
         self._values = {"beta": float(beta)}
 
-    def values(self, inputs) -> np.ndarray:
-        n = inputs.shape[0] if isinstance(inputs, np.ndarray) else len(inputs)
+    def prepare(self, inputs) -> int:
+        return inputs.shape[0] if isinstance(inputs, np.ndarray) else len(inputs)
+
+    def values_prepared(self, n: int) -> np.ndarray:
         return np.full(n, self._values["beta"])
 
-    def grads(self, inputs) -> dict[str, np.ndarray]:
-        n = inputs.shape[0] if isinstance(inputs, np.ndarray) else len(inputs)
+    def grads_prepared(self, n: int) -> dict[str, np.ndarray]:
         return {"beta": np.ones(n)}
 
 
@@ -161,7 +187,9 @@ class ZeroShotMean(_MeanBase):
     """m(x) = alpha * f0(x) + beta, with f0 the zero-shot log-likelihood ratio.
 
     f0 treats sites independently, so it is a plain sum over the variant's
-    mutations against the stored per-site log-probability table.
+    mutations against the stored per-site log-probability table. The scores
+    do not depend on alpha or beta, so `prepare` computes them once per point
+    list.
     """
 
     def __init__(self, log_table: np.ndarray, alpha: float = 1.0, beta: float = 0.0):
@@ -184,11 +212,13 @@ class ZeroShotMean(_MeanBase):
             out[i] = zero_shot_score(self.log_table, mset)
         return out
 
-    def values(self, inputs) -> np.ndarray:
-        return self._values["alpha"] * self.scores(inputs) + self._values["beta"]
+    prepare = scores
 
-    def grads(self, inputs) -> dict[str, np.ndarray]:
-        return {"alpha": self.scores(inputs), "beta": np.ones(len(inputs))}
+    def values_prepared(self, scores: np.ndarray) -> np.ndarray:
+        return self._values["alpha"] * scores + self._values["beta"]
+
+    def grads_prepared(self, scores: np.ndarray) -> dict[str, np.ndarray]:
+        return {"alpha": scores, "beta": np.ones(len(scores))}
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +279,7 @@ def _collect_free(kernel: Kernel, mean: _MeanBase, fit_noise: bool) -> list[str]
     return names
 
 
-def _core(kernel, mean, noise, prep, inputs, y, want_grads):
+def _core(kernel, mean, noise, prep, mean_prep, y, want_grads):
     """Log marginal likelihood (and raw-space gradients) at the current parameters."""
     if want_grads:
         k, kgrads = kernel.gram_grad_prepared(prep)
@@ -258,7 +288,7 @@ def _core(kernel, mean, noise, prep, inputs, y, want_grads):
     n = y.size
     a = k + noise * np.eye(n)
     chol, jitter = cholesky_with_jitter(a)
-    res = y - mean.values(inputs)
+    res = y - mean.values_prepared(mean_prep)
     alpha = cho_solve((chol, True), res)
     log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
     log_ml = -0.5 * float(res @ alpha) - 0.5 * log_det - 0.5 * n * _LOG2PI
@@ -271,7 +301,7 @@ def _core(kernel, mean, noise, prep, inputs, y, want_grads):
         grads[f"kernel.{name}"] = 0.5 * float(alpha @ (dk @ alpha)) - 0.5 * float(
             np.sum(a_inv * dk)
         )
-    for name, dm in mean.grads(inputs).items():
+    for name, dm in mean.grads_prepared(mean_prep).items():
         grads[f"mean.{name}"] = float(dm @ alpha)
     grads["noise.variance"] = 0.5 * float(alpha @ alpha) - 0.5 * float(np.trace(a_inv))
     return log_ml, grads, chol, alpha, jitter
@@ -279,7 +309,7 @@ def _core(kernel, mean, noise, prep, inputs, y, want_grads):
 
 def log_marginal_likelihood(kernel: Kernel, mean: _MeanBase, noise: float, data: Dataset) -> float:
     prep = kernel.prepare(data.inputs)
-    return _core(kernel, mean, noise, prep, data.inputs, data.y, False)[0]
+    return _core(kernel, mean, noise, prep, mean.prepare(data.inputs), data.y, False)[0]
 
 
 def log_marginal_likelihood_with_grads(
@@ -287,8 +317,53 @@ def log_marginal_likelihood_with_grads(
 ) -> tuple[float, dict[str, float]]:
     """Value and raw-space gradients keyed 'kernel.*', 'mean.*', 'noise.variance'."""
     prep = kernel.prepare(data.inputs)
-    log_ml, grads, *_ = _core(kernel, mean, noise, prep, data.inputs, data.y, True)
+    log_ml, grads, *_ = _core(kernel, mean, noise, prep, mean.prepare(data.inputs), data.y, True)
     return log_ml, grads
+
+
+class _TanimotoSpectrum:
+    """Log ML and gradients of K = variance * S under a constant mean, in O(n).
+
+    S = Q diag(lam) Q^T is decomposed once. With d = variance * lam + noise and
+    r = Q^T y - beta * Q^T 1, the covariance is diagonal in Q:
+    log ML = -1/2 sum r^2/d - 1/2 sum log d - n/2 log 2 pi, and each gradient
+    is a weighted sum over the n eigenpairs.
+    """
+
+    def __init__(self, similarity: np.ndarray, y: np.ndarray):
+        self.lam, q = np.linalg.eigh(similarity)
+        self.y_rot = q.T @ y
+        self.ones_rot = q.T @ np.ones(y.size)
+        self.mean_diag = float(np.mean(np.diag(similarity)))
+
+    def log_ml_with_grads(
+        self, variance: float, beta: float, noise: float
+    ) -> tuple[float, dict[str, float]]:
+        """Same value and raw-space gradients as `_core` at these parameters,
+        with `cholesky_with_jitter`'s jitter schedule applied to d."""
+        lam = self.lam
+        base = variance * lam + noise
+        for jitter in _jitter_schedule(variance * self.mean_diag + noise):
+            d = base + jitter
+            if np.all(d > 0):
+                break
+        else:
+            raise NumericalError("covariance is not positive definite even with jitter")
+        res = self.y_rot - beta * self.ones_rot
+        res_d = res / d
+        res_d2 = res_d * res_d
+        inv_d = 1.0 / d
+        log_ml = (
+            -0.5 * float(res @ res_d)
+            - 0.5 * float(np.sum(np.log(d)))
+            - 0.5 * lam.size * _LOG2PI
+        )
+        grads = {
+            "kernel.variance": 0.5 * float(lam @ res_d2) - 0.5 * float(lam @ inv_d),
+            "mean.beta": float(self.ones_rot @ res_d),
+            "noise.variance": 0.5 * float(np.sum(res_d2)) - 0.5 * float(np.sum(inv_d)),
+        }
+        return log_ml, grads
 
 
 @dataclass
@@ -382,7 +457,12 @@ def fit_gp(
     kernel = copy.deepcopy(kernel)
     mean = copy.deepcopy(mean)
     prep = kernel.prepare(data.inputs)
+    mean_prep = mean.prepare(data.inputs)
     state = {"noise": float(noise)}
+    spectrum = None
+    if isinstance(kernel, TanimotoKernel) and isinstance(mean, ConstantMean):
+        similarity = kernel.gram_grad_prepared(prep)[1]["variance"]  # dK/dvariance = S
+        spectrum = _TanimotoSpectrum(similarity, data.y)
 
     free = _collect_free(kernel, mean, fit_noise)
 
@@ -425,9 +505,14 @@ def fit_gp(
     def objective(u: np.ndarray):
         apply_vector(u)
         try:
-            log_ml, grads, *_ = _core(
-                kernel, mean, state["noise"], prep, data.inputs, data.y, True
-            )
+            if spectrum is None:
+                log_ml, grads, *_ = _core(
+                    kernel, mean, state["noise"], prep, mean_prep, data.y, True
+                )
+            else:
+                log_ml, grads = spectrum.log_ml_with_grads(
+                    kernel.params()["variance"], mean.params()["beta"], state["noise"]
+                )
         except NumericalError:
             return 1e25, np.zeros(len(free))
         grad_u = np.array(
@@ -482,7 +567,7 @@ def fit_gp(
 
     apply_vector(best_u)
     log_ml, _, chol, alpha, jitter = _core(
-        kernel, mean, state["noise"], prep, data.inputs, data.y, False
+        kernel, mean, state["noise"], prep, mean_prep, data.y, False
     )
     return GPModel(
         kernel=kernel,

@@ -151,6 +151,27 @@ class TestSyntheticOracle:
         c = SyntheticOracle(PARENTAL, seed=6)
         assert any(a.value(s) != c.value(s) for s in seqs)
 
+    def test_value_matches_formula_over_full_features(self):
+        # the oracle reads embeddings alone; its labels must equal the formula
+        # written against the embeddings of full feature bundles
+        from conftest import random_mutants
+
+        from abbo.features import SyntheticFeatureProvider
+
+        for kind in SyntheticOracle.KINDS:
+            oracle = SyntheticOracle(PARENTAL, kind=kind, seed=8)
+            provider = SyntheticFeatureProvider(PARENTAL, seed=0, embedding_dim=64)
+            parental_embedding = provider.features(PARENTAL).embedding
+            for seq in random_mutants(np.random.default_rng(1), PARENTAL, 25, max_sites=5):
+                expected = oracle.baseline + oracle.additive_component(seq)
+                for i, a, j, b, w in oracle.pairs:
+                    if seq[i] == ALPHABET[a] and seq[j] == ALPHABET[b]:
+                        expected += w
+                shift = provider.features(seq).embedding - parental_embedding
+                expected += oracle.smooth_scale * float(shift @ oracle._direction)
+                assert oracle.value(seq) == expected
+        assert oracle._embedder.computations == 0  # no structure was built
+
     def test_site_argmax_sequence_maximizes_additive_part(self):
         oracle = SyntheticOracle(PARENTAL, seed=7)
         best = oracle.site_argmax_sequence()
@@ -392,6 +413,23 @@ def test_validate_reports_missing_fixture():
     problems = validate_campaign(config)
     assert len(problems) == 1
     assert "/nonexistent/oracle.csv" in problems[0]
+
+
+def test_validate_warns_about_fixture_oracle(tmp_path):
+    # a table covering the whole initial pool: the dry run succeeds, but the
+    # first round's designs lie outside it
+    from abbo.campaign import _TAG_POOL, _derived_rng
+
+    config = small_config(seed=4)
+    pool = generate_pool(PARENTAL, 40, _derived_rng(config.seed, _TAG_POOL))
+    table_path = tmp_path / "oracle.csv"
+    table_path.write_text("".join(f"{seq},{k * 0.1}\n" for k, seq in enumerate(pool)))
+    config.oracle = OracleConfig(kind="fixture", table_path=str(table_path))
+    problems = validate_campaign(config)
+    assert len(problems) == 1
+    assert "fixture oracle" in problems[0] and "40 sequences" in problems[0]
+    with pytest.raises(FixtureError, match="no value for sequence"):
+        run_campaign(config)
 
 
 def test_validate_warns_about_small_ga_population():

@@ -8,7 +8,10 @@ import yaml
 from abbo.cli import (
     EXIT_CONFIG,
     EXIT_FIXTURE,
+    EXIT_NUMERICAL,
     EXIT_OK,
+    EXIT_UNEXPECTED,
+    EXIT_USAGE,
     EXIT_VIOLATIONS,
     main,
 )
@@ -123,6 +126,18 @@ def test_run_missing_fixture_is_fixture_error(tmp_path, capsys):
     code = main(["run", "--config", str(config), "--out", str(tmp_path / "x")])
     assert code == EXIT_FIXTURE
     assert "missing_oracle.csv" in capsys.readouterr().err
+
+
+def test_usage_error_code_differs_from_every_other_code(capsys):
+    # argparse exits on its own; its code must not read as a missing fixture
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config"])
+    assert exc.value.code == EXIT_USAGE
+    assert exc.value.code != EXIT_FIXTURE
+    codes = [EXIT_OK, EXIT_UNEXPECTED, EXIT_USAGE, EXIT_CONFIG, EXIT_FIXTURE,
+             EXIT_VIOLATIONS, EXIT_NUMERICAL]
+    assert len(set(codes)) == len(codes)
+    assert "usage" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+import abbo.gp as gp_module
 from abbo.exceptions import NumericalError
 from abbo.features import synthetic_structure_context
 from abbo.gp import (
@@ -15,7 +16,7 @@ from abbo.gp import (
     log_marginal_likelihood_with_grads,
     zero_shot_score,
 )
-from abbo.kernels import KermutKernel, Matern52Kernel, TanimotoKernel
+from abbo.kernels import KermutKernel, Matern52Kernel, SumKernel, TanimotoKernel
 from abbo.plm import substitution_softmax_pssm
 from abbo.sequences import diff, one_hot_matrix
 
@@ -32,6 +33,19 @@ def _make_dataset(rng, n, kernel_field="onehot"):
 
 def _log_table():
     return np.log(np.maximum(substitution_softmax_pssm(PARENTAL), 1e-12))
+
+
+def _counting(monkeypatch, name):
+    """Replace `abbo.gp.<name>` by a wrapper that counts its calls."""
+    calls = [0]
+    original = getattr(gp_module, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gp_module, name, counted)
+    return calls
 
 
 class TestDataset:
@@ -73,6 +87,14 @@ class TestZeroShot:
         values = mean.values(inputs)
         expected = [2.0 * zero_shot_score(table, item.mutations) - 0.5 for item in inputs]
         assert np.allclose(values, expected)
+
+    def test_scores_computed_once_per_fit(self, rng, monkeypatch):
+        n = 8
+        seqs, inputs = mutant_inputs(rng, PARENTAL, n, encoding=one_hot_matrix())
+        data = Dataset(seqs, inputs, rng.standard_normal(n))
+        calls = _counting(monkeypatch, "zero_shot_score")
+        fit_gp(data, TanimotoKernel("onehot"), ZeroShotMean(_log_table()), restarts=3, seed=2)
+        assert calls[0] == n
 
 
 class TestLogMarginalLikelihood:
@@ -160,6 +182,70 @@ class TestLogMarginalLikelihood:
         up = log_marginal_likelihood(kernel, mean, noise + h, data)
         down = log_marginal_likelihood(kernel, mean, noise - h, data)
         assert grads["noise.variance"] == pytest.approx((up - down) / (2 * h), rel=1e-4)
+
+
+class TestSpectralTanimoto:
+    """The O(n) Tanimoto fit against the dense Cholesky route it replaces."""
+
+    def _data(self, rng, n=25):
+        data = _make_dataset(rng, n)
+        kernel = TanimotoKernel("onehot")
+        similarity = kernel.gram_grad_prepared(kernel.prepare(data.inputs))[1]["variance"]
+        return data, gp_module._TanimotoSpectrum(similarity, data.y)
+
+    def test_value_and_gradients_match_dense(self, rng):
+        data, spectrum = self._data(rng)
+        noises = [1e-8, 2e-8, 1e-6] + list(10.0 ** rng.uniform(-4.0, 0.5, size=7))
+        for noise in noises:
+            variance = float(10.0 ** rng.uniform(-2.0, 1.5))
+            beta = float(rng.uniform(-2.0, 2.0))
+            want, want_grads = log_marginal_likelihood_with_grads(
+                TanimotoKernel("onehot", variance=variance), ConstantMean(beta), noise, data
+            )
+            got, got_grads = spectrum.log_ml_with_grads(variance, beta, noise)
+            assert got == pytest.approx(want, rel=1e-10)
+            assert set(got_grads) == set(want_grads)
+            for name, value in want_grads.items():
+                assert got_grads[name] == pytest.approx(value, rel=1e-8, abs=1e-10), (name, noise)
+
+    def test_hopeless_spectrum_raises_numerical_error(self, rng):
+        _, spectrum = self._data(rng, n=6)
+        with pytest.raises(NumericalError):
+            spectrum.log_ml_with_grads(1.0, 0.0, float("nan"))
+
+    @pytest.mark.parametrize(
+        "freeze_variance, fit_noise",
+        [(False, True), (True, True), (False, False), (True, False)],
+    )
+    def test_fit_matches_dense_route(self, rng, monkeypatch, freeze_variance, fit_noise):
+        # a one-child SumKernel has the same covariance but takes the dense route
+        seqs, inputs = mutant_inputs(rng, PARENTAL, 30, encoding=one_hot_matrix())
+        prior = TanimotoKernel("onehot", variance=1.5).gram(inputs) + 0.05 * np.eye(30)
+        y = np.linalg.cholesky(prior) @ rng.standard_normal(30) + 0.3  # a draw from the model
+        data = Dataset(seqs, inputs, y)
+        tanimoto = TanimotoKernel("onehot", variance=0.7)
+        wrapped = SumKernel([("t", TanimotoKernel("onehot", variance=0.7))])
+        if freeze_variance:
+            tanimoto.freeze("variance")
+            wrapped.freeze("t.variance")
+        settings = dict(noise=0.2, fit_noise=fit_noise, restarts=3, seed=5)
+        cholesky = _counting(monkeypatch, "cholesky_with_jitter")
+        fast = fit_gp(data, tanimoto, ConstantMean(0.0), **settings)
+        assert cholesky[0] == 1  # only the final factorization of the fitted model
+        dense = fit_gp(data, wrapped, ConstantMean(0.0), **settings)
+        assert cholesky[0] > 2
+
+        assert fast.log_ml == pytest.approx(dense.log_ml, rel=1e-10)
+        want = dense.hyperparameters()
+        want["kernel.variance"] = want.pop("kernel.t.variance")
+        got = fast.hyperparameters()
+        for name in want:
+            assert got[name] == pytest.approx(want[name], rel=1e-6), name
+        if freeze_variance:
+            assert got["kernel.variance"] == 0.7
+        if not fit_noise:
+            assert got["noise.variance"] == 0.2
+        assert np.allclose(fast.alpha, dense.alpha, rtol=1e-6, atol=1e-9)
 
 
 class TestFitting:
