@@ -21,7 +21,6 @@ from .exceptions import NumericalError
 __all__ = [
     "expected_improvement",
     "upper_confidence_bound",
-    "constrained_ei",
     "soft_constrain",
     "default_reference_point",
     "PortfolioProblem",
@@ -80,18 +79,6 @@ def _check_unit_interval(p, name: str) -> np.ndarray:
     if np.any((arr < 0) | (arr > 1)):
         raise ValueError(f"{name} values must lie in [0, 1]")
     return arr
-
-
-def constrained_ei(prob_feasible, ei):
-    """Feasibility-weighted expected improvement: probability times EI."""
-    pf = _check_unit_interval(prob_feasible, "feasibility probability")
-    ei_arr = np.asarray(ei, dtype=float)
-    if np.any(ei_arr < 0):
-        raise ValueError("expected improvement values must be nonnegative")
-    out = pf * ei_arr
-    if np.ndim(prob_feasible) == 0 and np.ndim(ei) == 0:
-        return float(out)
-    return out
 
 
 def soft_constrain(likelihood, acquisition):

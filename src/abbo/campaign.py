@@ -526,28 +526,10 @@ class _Providers:
 
 def _build_oracle(config: CampaignConfig):
     if config.oracle.kind == "fixture":
-        return FixtureOracle(load_likelihood_table_raw(config.oracle.table_path))
+        return FixtureOracle(load_likelihood_table(config.oracle.table_path))
     kind = "affinity" if config.oracle.kind.endswith("affinity") else "stability"
     seed = config.seed if config.oracle.seed is None else config.oracle.seed
     return SyntheticOracle(config.parental, kind=kind, seed=seed)
-
-
-def load_likelihood_table_raw(path: str | Path) -> dict[str, float]:
-    """Oracle tables share the likelihood CSV format but allow any float value."""
-    path = Path(path)
-    if not path.exists():
-        raise FixtureError(f"oracle fixture {path} does not exist")
-    table: dict[str, float] = {}
-    with path.open(newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].startswith("#") or row[0].lower() in ("sequence", "seq"):
-                continue
-            if len(row) < 2:
-                raise FixtureError(f"bad oracle row in {path}: {row!r}")
-            table[row[0].strip()] = float(row[1])
-    if not table:
-        raise FixtureError(f"oracle fixture {path} has no entries")
-    return table
 
 
 def _build_providers(
@@ -650,34 +632,35 @@ def _build_kernel(spec: MethodSpec, providers: _Providers, config: CampaignConfi
     else:
         raise ConfigError(f"unknown kernel kind {spec.kernel_kind!r}")
 
-    for name, setting in config.kernel_overrides.items():
-        if isinstance(setting, dict):
-            _require_keys(setting, {"value", "frozen"}, f"kernel.{name}")
-            if "value" in setting:
-                _set_kernel_param(kernel, name, setting["value"])
-            if setting.get("frozen"):
-                _freeze_kernel_param(kernel, name)
-        else:
-            _set_kernel_param(kernel, name, setting)
+    _apply_param_overrides(kernel, config.kernel_overrides, "kernel")
     return kernel
 
 
-def _set_kernel_param(kernel: Kernel, name: str, value) -> None:
-    try:
-        kernel.set_param(name, float(value))
-    except KeyError:
-        raise ConfigError(
-            f"kernel has no hyperparameter {name!r}; available: {sorted(kernel.params())}"
-        ) from None
+def _apply_param_overrides(target, overrides: dict, section: str) -> None:
+    """Apply a `kernel:` or `mean:` config section to a kernel or prior mean.
 
-
-def _freeze_kernel_param(kernel: Kernel, name: str) -> None:
-    try:
-        kernel.freeze(name)
-    except KeyError:
-        raise ConfigError(
-            f"kernel has no hyperparameter {name!r}; available: {sorted(kernel.params())}"
-        ) from None
+    Each entry is `name: value` or `name: {value: ..., frozen: true|false}`.
+    An unknown name, a value the parameter rejects or a non-boolean `frozen`
+    is a ConfigError naming `section.name` and the available names.
+    """
+    for name, setting in overrides.items():
+        name, where = str(name), f"{section}.{name}"
+        if not isinstance(setting, dict):
+            setting = {"value": setting}
+        _require_keys(setting, {"value", "frozen"}, where)
+        frozen = setting.get("frozen", False)
+        try:
+            if not isinstance(frozen, bool):
+                raise ValueError(f"frozen must be true or false, got {frozen!r}")
+            if "value" in setting:
+                target.set_param(name, float(setting["value"]))
+            if frozen:
+                target.freeze(name)
+        except (KeyError, TypeError, ValueError) as err:
+            problem = "unknown hyperparameter" if isinstance(err, KeyError) else f"bad value: {err}"
+            raise ConfigError(
+                f"{where}: {problem}; available: {sorted(target.params())}"
+            ) from None
 
 
 def _build_mean(spec: MethodSpec, providers: _Providers, config: CampaignConfig):
@@ -688,21 +671,7 @@ def _build_mean(spec: MethodSpec, providers: _Providers, config: CampaignConfig)
     else:
         table_key = spec.mean_table or "standard"
         mean = ZeroShotMean(providers.zero_shot_tables[table_key])
-    for name, setting in config.mean_overrides.items():
-        if isinstance(setting, dict):
-            _require_keys(setting, {"value", "frozen"}, f"mean.{name}")
-            if "value" in setting:
-                try:
-                    mean.set_param(name, float(setting["value"]))
-                except KeyError:
-                    raise ConfigError(f"mean has no parameter {name!r}") from None
-            if setting.get("frozen"):
-                mean.freeze(name)
-        else:
-            try:
-                mean.set_param(name, float(setting))
-            except KeyError:
-                raise ConfigError(f"mean has no parameter {name!r}") from None
+    _apply_param_overrides(mean, config.mean_overrides, "mean")
     return mean
 
 

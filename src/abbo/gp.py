@@ -26,7 +26,7 @@ from scipy.linalg import cho_solve, solve_triangular
 from scipy.optimize import minimize
 
 from .exceptions import NumericalError
-from .kernels import Kernel, TanimotoKernel
+from .kernels import Kernel, TanimotoKernel, _Namespace
 from .plm import PROB_FLOOR
 from .sequences import AA_INDEX, ALPHABET, MutationSet
 
@@ -114,44 +114,16 @@ def zero_shot_score(log_table: np.ndarray, mutations: MutationSet) -> float:
 # prior means
 
 
-class _MeanBase:
-    """Prior means share the kernels' parameter conventions (linear transform).
+class _MeanBase(_Namespace):
+    """Prior means share the kernels' parameter namespace, with a linear
+    transform and bounds of +-1e6 for every coefficient.
 
     Like kernels, a mean splits into `prepare` (whatever does not depend on
     the parameters, computed once per point list) and the `*_prepared`
     evaluations that the fit repeats.
     """
 
-    def __init__(self) -> None:
-        self._values: dict[str, float] = {}
-        self._frozen: set[str] = set()
-
-    def params(self) -> dict[str, float]:
-        return dict(self._values)
-
-    def set_param(self, name: str, value: float) -> None:
-        if name not in self._values:
-            raise KeyError(f"unknown mean parameter {name!r}")
-        self._values[name] = float(value)
-
-    def frozen(self) -> set[str]:
-        return set(self._frozen)
-
-    def freeze(self, *names: str) -> "_MeanBase":
-        for name in names:
-            if name not in self._values:
-                raise KeyError(f"unknown mean parameter {name!r}")
-            self._frozen.add(name)
-        return self
-
-    def free_param_names(self) -> list[str]:
-        return [n for n in sorted(self._values) if n not in self._frozen]
-
-    def transform(self, name: str) -> str:
-        return "linear"
-
-    def bounds(self, name: str) -> tuple[float, float]:
-        return (-1e6, 1e6)
+    _DEFAULT_TRANSFORM = "linear"
 
     def prepare(self, inputs):
         raise NotImplementedError
@@ -221,6 +193,21 @@ class ZeroShotMean(_MeanBase):
         return {"alpha": scores, "beta": np.ones(len(scores))}
 
 
+class _Noise(_Namespace):
+    """The observation noise as a namespace of one parameter, `variance`."""
+
+    _BOUNDS = {"variance": NOISE_BOUNDS}
+
+    def __init__(self, variance: float):
+        super().__init__()
+        self._values = {"variance": float(variance)}
+
+
+def _hyperparameters(kernel: Kernel, mean: _MeanBase, noise: float) -> _Namespace:
+    """One namespace over a GP's parameters: `kernel.*`, `mean.*`, `noise.variance`."""
+    return _Namespace([("kernel", kernel), ("mean", mean), ("noise", _Noise(noise))])
+
+
 # ---------------------------------------------------------------------------
 # dataset and model
 
@@ -269,14 +256,6 @@ class Dataset:
 
 
 _LOG2PI = np.log(2.0 * np.pi)
-
-
-def _collect_free(kernel: Kernel, mean: _MeanBase, fit_noise: bool) -> list[str]:
-    names = [f"kernel.{n}" for n in kernel.free_param_names()]
-    names += [f"mean.{n}" for n in mean.free_param_names()]
-    if fit_noise:
-        names.append("noise.variance")
-    return names
 
 
 def _core(kernel, mean, noise, prep, mean_prep, y, want_grads):
@@ -396,10 +375,7 @@ class GPModel:
         return self.log_ml
 
     def hyperparameters(self) -> dict[str, float]:
-        out = {f"kernel.{n}": v for n, v in self.kernel.params().items()}
-        out.update({f"mean.{n}": v for n, v in self.mean.params().items()})
-        out["noise.variance"] = self.noise
-        return out
+        return _hyperparameters(self.kernel, self.mean, self.noise).params()
 
 
 def _to_internal(value: float, kind: str) -> float:
@@ -456,62 +432,35 @@ def fit_gp(
 
     kernel = copy.deepcopy(kernel)
     mean = copy.deepcopy(mean)
+    space = _hyperparameters(kernel, mean, noise)
+    if not fit_noise:
+        space.freeze("noise.variance")
     prep = kernel.prepare(data.inputs)
     mean_prep = mean.prepare(data.inputs)
-    state = {"noise": float(noise)}
     spectrum = None
     if isinstance(kernel, TanimotoKernel) and isinstance(mean, ConstantMean):
         similarity = kernel.gram_grad_prepared(prep)[1]["variance"]  # dK/dvariance = S
         spectrum = _TanimotoSpectrum(similarity, data.y)
 
-    free = _collect_free(kernel, mean, fit_noise)
-
-    def param_info(name: str) -> tuple[str, tuple[float, float]]:
-        scope, _, rest = name.partition(".")
-        if scope == "kernel":
-            return kernel.transform(rest), kernel.bounds(rest)
-        if scope == "mean":
-            return mean.transform(rest), mean.bounds(rest)
-        return "log", NOISE_BOUNDS
-
-    def get_raw(name: str) -> float:
-        scope, _, rest = name.partition(".")
-        if scope == "kernel":
-            return kernel.params()[rest]
-        if scope == "mean":
-            return mean.params()[rest]
-        return state["noise"]
-
-    def set_raw(name: str, value: float) -> None:
-        scope, _, rest = name.partition(".")
-        if scope == "kernel":
-            kernel.set_param(rest, value)
-        elif scope == "mean":
-            mean.set_param(rest, value)
-        else:
-            state["noise"] = float(value)
-
-    kinds = {n: param_info(n)[0] for n in free}
-    raw_bounds = {n: param_info(n)[1] for n in free}
-    internal_bounds = [
-        (_to_internal(raw_bounds[n][0], kinds[n]), _to_internal(raw_bounds[n][1], kinds[n]))
-        for n in free
-    ]
+    free = space.free_param_names()
+    kinds = {n: space.transform(n) for n in free}
+    internal_bounds = [tuple(_to_internal(b, kinds[n]) for b in space.bounds(n)) for n in free]
 
     def apply_vector(u: np.ndarray) -> None:
         for name, ui in zip(free, u):
-            set_raw(name, _from_internal(ui, kinds[name]))
+            space.set_param(name, _from_internal(ui, kinds[name]))
 
     def objective(u: np.ndarray):
         apply_vector(u)
+        raw = space.params()
         try:
             if spectrum is None:
                 log_ml, grads, *_ = _core(
-                    kernel, mean, state["noise"], prep, mean_prep, data.y, True
+                    kernel, mean, raw["noise.variance"], prep, mean_prep, data.y, True
                 )
             else:
                 log_ml, grads = spectrum.log_ml_with_grads(
-                    kernel.params()["variance"], mean.params()["beta"], state["noise"]
+                    raw["kernel.variance"], raw["mean.beta"], raw["noise.variance"]
                 )
         except NumericalError:
             return 1e25, np.zeros(len(free))
@@ -527,7 +476,8 @@ def fit_gp(
 
     def start_vector(index: int) -> np.ndarray:
         if index == 0:
-            return np.array([_to_internal(get_raw(n), kinds[n]) for n in free])
+            raw = space.params()
+            return np.array([_to_internal(raw[n], kinds[n]) for n in free])
         u0 = np.empty(len(free))
         for i, name in enumerate(free):
             lo, hi = internal_bounds[i]
@@ -566,13 +516,12 @@ def fit_gp(
         raise NumericalError("every fit restart failed; covariance never factorized")
 
     apply_vector(best_u)
-    log_ml, _, chol, alpha, jitter = _core(
-        kernel, mean, state["noise"], prep, mean_prep, data.y, False
-    )
+    noise = space.params()["noise.variance"]
+    log_ml, _, chol, alpha, jitter = _core(kernel, mean, noise, prep, mean_prep, data.y, False)
     return GPModel(
         kernel=kernel,
         mean=mean,
-        noise=state["noise"],
+        noise=noise,
         data=data,
         chol=chol,
         alpha=alpha,

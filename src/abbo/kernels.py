@@ -80,41 +80,65 @@ def _stack(inputs, field_name: str | None) -> np.ndarray:
 # hyperparameter plumbing
 
 
-class Kernel:
-    """Base class: dotted hyperparameter access, transforms, bounds, Gram API."""
+# default bounds of each transform, unless a class's `_BOUNDS` says otherwise
+_DEFAULT_BOUNDS = {"log": (1e-6, 1e3), "logit": (1e-3, 1.0 - 1e-3), "linear": (-1e6, 1e6)}
 
-    # per-parameter override tables; "log" is the default transform
+
+class _Namespace:
+    """A dotted hyperparameter namespace: own parameters plus labelled children.
+
+    Own parameters live in `_values`; the per-class `_TRANSFORMS` and
+    `_BOUNDS` tables override `_DEFAULT_TRANSFORM` and the transform's default
+    bounds. A child's parameter `p` is addressed as `label.p`, so kernels,
+    prior means, GP noise and any tree of them share one set, freeze, bound
+    and transform path.
+    """
+
     _TRANSFORMS: dict[str, str] = {}
     _BOUNDS: dict[str, tuple[float, float]] = {}
+    _DEFAULT_TRANSFORM = "log"
 
-    def __init__(self) -> None:
+    def __init__(self, children: Sequence[tuple[str, "_Namespace"]] = ()) -> None:
         self._values: dict[str, float] = {}
         self._frozen: set[str] = set()
+        self.children = list(children)
 
-    # -- parameters
+    def _route(self, name: str) -> tuple["_Namespace", str]:
+        """The namespace that owns `name`, and the name within it."""
+        if name in self._values:
+            return self, name
+        lab, _, rest = name.partition(".")
+        for child_lab, child in self.children:
+            if child_lab == lab and rest:
+                return child._route(rest)
+        raise KeyError(f"unknown hyperparameter {name!r}")
 
     def params(self) -> dict[str, float]:
-        return dict(self._values)
+        out = dict(self._values)
+        for lab, child in self.children:
+            out.update((f"{lab}.{n}", v) for n, v in child.params().items())
+        return out
 
     def set_param(self, name: str, value: float) -> None:
-        if name not in self._values:
-            raise KeyError(f"unknown hyperparameter {name!r}")
+        owner, own_name = self._route(name)
         value = float(value)
-        kind = self.transform(name)
+        kind = owner.transform(own_name)
         if kind == "log" and value <= 0:
             raise ValueError(f"{name} must be positive, got {value}")
         if kind == "logit" and not 0.0 < value < 1.0:
             raise ValueError(f"{name} must lie strictly in (0, 1), got {value}")
-        self._values[name] = value
+        owner._values[own_name] = value
 
     def frozen(self) -> set[str]:
-        return set(self._frozen)
+        out = set(self._frozen)
+        for lab, child in self.children:
+            out.update(f"{lab}.{n}" for n in child.frozen())
+        return out
 
-    def freeze(self, *names: str) -> "Kernel":
+    def freeze(self, *names: str) -> "_Namespace":
         for name in names:
-            if name not in self.params():
-                raise KeyError(f"unknown hyperparameter {name!r}")
-            self._frozen.add(name)
+            owner, own_name = self._route(name)
+            owner._frozen.add(own_name)
         return self
 
     def free_param_names(self) -> list[str]:
@@ -122,14 +146,18 @@ class Kernel:
         return [n for n in sorted(self.params()) if n not in frozen]
 
     def transform(self, name: str) -> str:
-        return self._TRANSFORMS.get(name, "log")
+        owner, own_name = self._route(name)
+        return owner._TRANSFORMS.get(own_name, owner._DEFAULT_TRANSFORM)
 
     def bounds(self, name: str) -> tuple[float, float]:
-        if name in self._BOUNDS:
-            return self._BOUNDS[name]
-        if self.transform(name) == "logit":
-            return (1e-3, 1.0 - 1e-3)
-        return (1e-6, 1e3)
+        owner, own_name = self._route(name)
+        if own_name in owner._BOUNDS:
+            return owner._BOUNDS[own_name]
+        return _DEFAULT_BOUNDS[owner.transform(own_name)]
+
+
+class Kernel(_Namespace):
+    """Base class: a hyperparameter namespace plus the Gram API."""
 
     # -- Gram API
 
@@ -306,51 +334,12 @@ class SquaredExponentialKernel(_VectorKernel):
 
 class _Combinator(Kernel):
     def __init__(self, children: Sequence[tuple[str, Kernel]]):
-        super().__init__()
         labels = [lab for lab, _ in children]
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate child labels: {labels}")
         if not children:
             raise ValueError("combinator needs at least one child kernel")
-        self.children = list(children)
-
-    def params(self) -> dict[str, float]:
-        out: dict[str, float] = {}
-        for lab, child in self.children:
-            for name, value in child.params().items():
-                out[f"{lab}.{name}"] = value
-        return out
-
-    def _route(self, name: str) -> tuple[Kernel, str]:
-        lab, _, rest = name.partition(".")
-        for child_lab, child in self.children:
-            if child_lab == lab and rest:
-                return child, rest
-        raise KeyError(f"unknown hyperparameter {name!r}")
-
-    def set_param(self, name: str, value: float) -> None:
-        child, rest = self._route(name)
-        child.set_param(rest, value)
-
-    def frozen(self) -> set[str]:
-        out = set()
-        for lab, child in self.children:
-            out.update(f"{lab}.{n}" for n in child.frozen())
-        return out
-
-    def freeze(self, *names: str) -> "Kernel":
-        for name in names:
-            child, rest = self._route(name)
-            child.freeze(rest)
-        return self
-
-    def transform(self, name: str) -> str:
-        child, rest = self._route(name)
-        return child.transform(rest)
-
-    def bounds(self, name: str) -> tuple[float, float]:
-        child, rest = self._route(name)
-        return child.bounds(rest)
+        super().__init__(children)
 
     def prepare(self, inputs):
         return tuple(child.prepare(inputs) for _, child in self.children)
@@ -516,7 +505,8 @@ class KermutKernel(Kernel):
         gamma_p: float = 1.0,
         gamma_d: float = 1.0,
     ):
-        super().__init__()
+        # the sequence kernel's parameters ride along under "seq."
+        super().__init__([("seq", seq_kernel)])
         self.context = context
         self.seq_kernel = seq_kernel
         if "variance" in seq_kernel.params():
@@ -538,43 +528,6 @@ class KermutKernel(Kernel):
         ):
             self.set_param(name, value)
         self._hmat = _hellinger_matrix(context.site_probs)
-
-    # child params ride along under a "seq." prefix
-
-    def params(self) -> dict[str, float]:
-        out = dict(self._values)
-        for name, value in self.seq_kernel.params().items():
-            out[f"seq.{name}"] = value
-        return out
-
-    def set_param(self, name: str, value: float) -> None:
-        if name.startswith("seq."):
-            self.seq_kernel.set_param(name[4:], value)
-        else:
-            super().set_param(name, value)
-
-    def frozen(self) -> set[str]:
-        out = set(self._frozen)
-        out.update(f"seq.{n}" for n in self.seq_kernel.frozen())
-        return out
-
-    def freeze(self, *names: str) -> "Kernel":
-        for name in names:
-            if name.startswith("seq."):
-                self.seq_kernel.freeze(name[4:])
-            else:
-                super().freeze(name)
-        return self
-
-    def transform(self, name: str) -> str:
-        if name.startswith("seq."):
-            return self.seq_kernel.transform(name[4:])
-        return super().transform(name)
-
-    def bounds(self, name: str) -> tuple[float, float]:
-        if name.startswith("seq."):
-            return self.seq_kernel.bounds(name[4:])
-        return super().bounds(name)
 
     # -- preparation
 

@@ -181,20 +181,26 @@ def load_pssm(path: str | Path) -> np.ndarray:
 
 
 def load_likelihood_table(path: str | Path) -> dict[str, float]:
-    """Load a CSV of `sequence,likelihood` pairs (header optional)."""
+    """Load a CSV of `sequence,value` pairs (header optional).
+
+    Oracle tables and likelihood tables share this reader; the range a value
+    must lie in is checked by whoever consumes the table.
+    """
     path = Path(path)
     if not path.exists():
-        raise FixtureError(f"likelihood fixture {path} does not exist")
+        raise FixtureError(f"fixture table {path} does not exist")
     table: dict[str, float] = {}
     with path.open(newline="") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or row[0].startswith("#"):
                 continue
             if row[0].lower() in ("sequence", "seq"):
                 continue
-            if len(row) < 2:
-                raise FixtureError(f"bad likelihood row in {path}: {row!r}")
-            table[row[0].strip()] = float(row[1])
+            try:
+                table[row[0].strip()] = float(row[1])
+            except (IndexError, ValueError):
+                raise FixtureError(f"bad row {reader.line_num} in {path}: {row!r}") from None
     if not table:
-        raise FixtureError(f"likelihood fixture {path} has no entries")
+        raise FixtureError(f"fixture table {path} has no entries")
     return table

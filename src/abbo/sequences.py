@@ -28,7 +28,6 @@ __all__ = [
     "blosum62_matrix",
     "load_substitution_matrix",
     "encode",
-    "load_sequence_list",
 ]
 
 # Canonical residues in alphabetical one-letter order; a residue's index here
@@ -242,18 +241,3 @@ def encode(seq: str, encoding: EncodingMatrix) -> np.ndarray:
     if not seq:
         return np.zeros(0, dtype=float)
     return np.concatenate([encoding.row(ch) for ch in seq]).astype(float)
-
-
-def load_sequence_list(path: str | Path) -> list[tuple[str | None, str]]:
-    """Read a plain-text sequence list: one sequence per line, optional 'id<TAB>seq'."""
-    out: list[tuple[str | None, str]] = []
-    for raw in Path(path).read_text().splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "\t" in line:
-            ident, seq = line.split("\t", 1)
-            out.append((ident.strip(), validate_sequence(seq.strip())))
-        else:
-            out.append((None, validate_sequence(line)))
-    return out

@@ -379,6 +379,19 @@ class TestCampaignRuns:
         assert "mean.alpha" in hyper
         assert "kernel.mix" in hyper
 
+    def test_frozen_config_overrides_hold_in_every_fit(self):
+        # OneHot-T takes the spectral fit, so this covers frozen parameters there
+        config = small_config(
+            kernel_overrides={"variance": {"value": 1.5, "frozen": True}},
+            mean_overrides={"beta": {"value": 0.25, "frozen": True}},
+        )
+        result = run_campaign(config)
+        fitted = [rec.hyperparameters for log in result.logs for rec in log.records[1:]]
+        assert len(fitted) == result.protocol.repeats * result.protocol.rounds
+        for hyper in fitted:
+            assert hyper["kernel.variance"] == 1.5
+            assert hyper["mean.beta"] == 0.25
+
     def test_aggregate_shape_and_se(self):
         result = run_campaign(small_config())
         rows = result.aggregate()

@@ -128,6 +128,53 @@ def test_run_missing_fixture_is_fixture_error(tmp_path, capsys):
     assert "missing_oracle.csv" in capsys.readouterr().err
 
 
+def run_or_validate(command: str, config: Path, out_dir: Path, capsys) -> tuple[int, str]:
+    """Exit code and report of `abbo run` (writing under `out_dir`) or `abbo validate`."""
+    args = [command, "--config", str(config)]
+    if command == "run":
+        args += ["--out", str(out_dir)]
+    code = main(args)
+    captured = capsys.readouterr()
+    return code, captured.err if command == "run" else captured.out
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize(
+    "overrides, name",
+    [
+        pytest.param({"mean": {"gamma": {"frozen": True}}}, "mean.gamma", id="unknown-name"),
+        pytest.param({"kernel": {"variance": -1}}, "kernel.variance", id="out-of-range"),
+        pytest.param({"kernel": {"variance": "abc"}}, "kernel.variance", id="kernel-text"),
+        pytest.param({"mean": {"beta": "abc"}}, "mean.beta", id="mean-text"),
+        pytest.param(
+            {"kernel": {"variance": {"frozen": "no"}}}, "kernel.variance", id="frozen-text"
+        ),
+    ],
+)
+def test_bad_parameter_override_is_config_error(tmp_path, capsys, command, overrides, name):
+    config = write_config(tmp_path / "config.yaml", **overrides)
+    code, message = run_or_validate(command, config, tmp_path / "x", capsys)
+    assert code == (EXIT_CONFIG if command == "run" else EXIT_VIOLATIONS)
+    assert name in message
+    assert "available: [" in message
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("table_use", ["oracle", "constraint"])
+def test_non_numeric_table_value_is_fixture_error(tmp_path, capsys, command, table_use):
+    table = tmp_path / "table.csv"
+    table.write_text(f"sequence,value\n{PARENTAL},0.5\n{PARENTAL[:-1]}A,high\n")
+    if table_use == "oracle":
+        overrides = {"oracle": {"kind": "fixture", "table": str(table)}}
+    else:
+        overrides = {"providers": {"constraint": "table", "constraint_table_path": str(table)}}
+    config = write_config(tmp_path / "config.yaml", **overrides)
+    code, message = run_or_validate(command, config, tmp_path / "x", capsys)
+    assert code == (EXIT_FIXTURE if command == "run" else EXIT_VIOLATIONS)
+    assert "table.csv" in message
+    assert "row 3" in message
+
+
 def test_usage_error_code_differs_from_every_other_code(capsys):
     # argparse exits on its own; its code must not read as a missing fixture
     with pytest.raises(SystemExit) as exc:

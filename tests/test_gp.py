@@ -248,6 +248,45 @@ class TestSpectralTanimoto:
         assert np.allclose(fast.alpha, dense.alpha, rtol=1e-6, atol=1e-9)
 
 
+# surrogate builders and the exact names `GPModel.hyperparameters` reports
+_SURROGATE_GROUPS = {
+    "tanimoto-constant": (
+        lambda: (TanimotoKernel("onehot"), ConstantMean(0.0)),
+        {"kernel.variance", "mean.beta", "noise.variance"},
+    ),
+    "sum-constant": (
+        lambda: (
+            SumKernel([("coords", Matern52Kernel("onehot")), ("seq", TanimotoKernel("onehot"))]),
+            ConstantMean(0.0),
+        ),
+        {
+            "kernel.coords.lengthscale",
+            "kernel.coords.variance",
+            "kernel.seq.variance",
+            "mean.beta",
+            "noise.variance",
+        },
+    ),
+    "kermut-zeroshot": (
+        lambda: (
+            KermutKernel(synthetic_structure_context(PARENTAL, seed=4), TanimotoKernel("onehot")),
+            ZeroShotMean(_log_table()),
+        ),
+        {
+            "kernel.variance",
+            "kernel.mix",
+            "kernel.gamma_h",
+            "kernel.gamma_p",
+            "kernel.gamma_d",
+            "kernel.seq.variance",
+            "mean.alpha",
+            "mean.beta",
+            "noise.variance",
+        },
+    ),
+}
+
+
 class TestFitting:
     def test_fit_improves_objective(self, rng):
         data = _make_dataset(rng, 12)
@@ -288,11 +327,17 @@ class TestFitting:
         model = fit_gp(data, TanimotoKernel("onehot"), ConstantMean(0.0), noise=0.1, restarts=2)
         assert 1e-8 <= model.noise <= 10.0
 
-    def test_hyperparameters_exposes_all_groups(self, rng):
-        data = _make_dataset(rng, 5)
-        model = fit_gp(data, TanimotoKernel("onehot"), ConstantMean(0.0), restarts=1)
-        keys = set(model.hyperparameters())
-        assert keys == {"kernel.variance", "mean.beta", "noise.variance"}
+    @pytest.mark.parametrize("case", sorted(_SURROGATE_GROUPS))
+    def test_hyperparameters_exposes_all_groups(self, rng, case):
+        build, names = _SURROGATE_GROUPS[case]
+        kernel, mean = build()
+        model = fit_gp(_make_dataset(rng, 5), kernel, mean, restarts=1)
+        hyper = model.hyperparameters()
+        assert set(hyper) == names
+        if isinstance(kernel, KermutKernel):
+            # the sequence kernel's scale is owned by the Kermut variance
+            assert hyper["kernel.seq.variance"] == 1.0
+            assert "seq.variance" in model.kernel.frozen()
 
 
 class TestCholeskyJitter:
