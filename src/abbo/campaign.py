@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import numbers
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -266,6 +268,22 @@ def _require_keys(section: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _require_type(value, kind: type, where: str) -> None:
+    """Raise a ConfigError naming `where` unless `value` is of `kind`.
+
+    `kind` is bool, int or float; a bool is neither an int nor a float here,
+    and an int is a float.
+    """
+    if kind is bool:
+        ok = isinstance(value, bool)
+    else:
+        number = numbers.Integral if kind is int else numbers.Real
+        ok = isinstance(value, number) and not isinstance(value, bool)
+    if not ok:
+        expected = {bool: "true or false", int: "an integer", float: "a number"}[kind]
+        raise ConfigError(f"{where} must be {expected}, got {value!r}")
+
+
 @dataclass
 class ProtocolConfig:
     initial_pool_size: int = 159
@@ -283,8 +301,10 @@ class ProtocolConfig:
             "batch_size",
             "repeats",
         ):
+            _require_type(getattr(self, name), int, f"protocol.{name}")
             if getattr(self, name) < 1:
                 raise ConfigError(f"protocol.{name} must be >= 1")
+        _require_type(self.drop_count, int, "protocol.drop_count")
         if self.drop_count < 0:
             raise ConfigError("protocol.drop_count must be >= 0")
         if self.drop_count >= self.batch_size:
@@ -319,6 +339,8 @@ class OracleConfig:
             raise ConfigError(f"oracle.kind must be one of {self.KINDS}, got {self.kind!r}")
         if self.kind == "fixture" and not self.table_path:
             raise ConfigError("oracle.kind 'fixture' needs oracle.table")
+        if self.seed is not None:
+            _require_type(self.seed, int, "oracle.seed")
 
 
 @dataclass
@@ -352,6 +374,7 @@ class ProviderConfig:
         for name in ("zero_shot", "antibody_zero_shot"):
             if getattr(self, name) not in ("synthetic", "pssm"):
                 raise ConfigError(f"providers.{name} must be 'synthetic' or 'pssm'")
+        _require_type(self.antibody_temperature, float, "providers.antibody_temperature")
         if self.antibody_temperature <= 0:
             raise ConfigError("providers.antibody_temperature must be positive")
 
@@ -363,6 +386,9 @@ class GPConfig:
     fit_noise: bool = True
 
     def __post_init__(self) -> None:
+        _require_type(self.restarts, int, "gp.restarts")
+        _require_type(self.noise_init, float, "gp.noise_init")
+        _require_type(self.fit_noise, bool, "gp.fit_noise")
         if self.restarts < 1:
             raise ConfigError("gp.restarts must be >= 1")
         if self.noise_init <= 0:
@@ -389,6 +415,9 @@ class CampaignConfig:
         if len(self.parental) < 3:
             raise ConfigError("parental sequence must have length >= 3")
         resolve_method(self.method)
+        _require_type(self.seed, int, "seed")
+        _require_type(self.embedding_dim, int, "embedding_dim")
+        _require_type(self.dump_fronts, bool, "dump_fronts")
         if self.embedding_dim < 1:
             raise ConfigError("embedding_dim must be >= 1")
 
@@ -475,7 +504,7 @@ class CampaignConfig:
         ga_raw = section("ga")
         try:
             ga = GAConfig(**ga_raw)
-        except TypeError as err:
+        except (TypeError, ValueError) as err:
             raise ConfigError(f"bad ga section: {err}") from None
 
         gp_raw = section("gp")
@@ -487,7 +516,7 @@ class CampaignConfig:
         return cls(
             parental=raw["parental"],
             method=raw.get("method", "OneHot-T"),
-            seed=int(raw.get("seed", 0)),
+            seed=raw.get("seed", 0),
             protocol=protocol,
             oracle=oracle,
             providers=providers,
@@ -495,8 +524,8 @@ class CampaignConfig:
             gp=gp,
             kernel_overrides=section("kernel"),
             mean_overrides=section("mean"),
-            embedding_dim=int(raw.get("embedding_dim", 64)),
-            dump_fronts=bool(raw.get("dump_fronts", False)),
+            embedding_dim=raw.get("embedding_dim", 64),
+            dump_fronts=raw.get("dump_fronts", False),
         )
 
     @classmethod
@@ -518,10 +547,9 @@ class CampaignConfig:
 @dataclass
 class _Providers:
     features: SyntheticFeatureProvider | FixtureFeatureProvider | None
-    context_standard: StructureContext | None
-    context_antibody: StructureContext | None
+    context: StructureContext | None  # Kermut's, standard or antibody
     constraint: PssmLikelihoodProvider | TableLikelihoodProvider
-    zero_shot_tables: dict[str, np.ndarray]
+    zero_shot: np.ndarray | None  # log-probabilities of the zero-shot mean
 
 
 def _build_oracle(config: CampaignConfig):
@@ -532,9 +560,7 @@ def _build_oracle(config: CampaignConfig):
     return SyntheticOracle(config.parental, kind=kind, seed=seed)
 
 
-def _build_providers(
-    config: CampaignConfig, spec: MethodSpec, constrained: bool
-) -> _Providers:
+def _build_providers(config: CampaignConfig, spec: MethodSpec) -> _Providers:
     prov = config.providers
     parental = config.parental
 
@@ -554,25 +580,21 @@ def _build_providers(
                 coords_path=prov.coords_path,
             )
 
-    context_standard = None
-    context_antibody = None
+    context = None
     if spec.kernel_kind == "kermut":
         if spec.context_kind == "antibody":
             if prov.antibody_structure == "synthetic":
-                context_antibody = synthetic_structure_context(
+                context = synthetic_structure_context(
                     parental, seed=config.seed, temperature=prov.antibody_temperature
                 )
             else:
-                context_antibody = load_structure_context(
+                context = load_structure_context(
                     prov.antibody_site_probs_path, prov.antibody_distances_path
                 )
+        elif prov.structure == "synthetic":
+            context = synthetic_structure_context(parental, seed=config.seed)
         else:
-            if prov.structure == "synthetic":
-                context_standard = synthetic_structure_context(parental, seed=config.seed)
-            else:
-                context_standard = load_structure_context(
-                    prov.site_probs_path, prov.distances_path
-                )
+            context = load_structure_context(prov.site_probs_path, prov.distances_path)
 
     if prov.constraint == "synthetic":
         constraint = PssmLikelihoodProvider(substitution_softmax_pssm(parental))
@@ -581,28 +603,20 @@ def _build_providers(
     else:
         constraint = TableLikelihoodProvider(load_likelihood_table(prov.constraint_table_path))
 
-    zero_shot_tables: dict[str, np.ndarray] = {}
+    zero_shot = None
     if spec.mean_kind == "zero-shot":
         if spec.mean_table == "antibody":
             if prov.antibody_zero_shot == "synthetic":
                 probs = substitution_softmax_pssm(parental, prov.antibody_temperature)
             else:
                 probs = load_pssm(prov.antibody_zero_shot_pssm_path)
-            zero_shot_tables["antibody"] = np.log(np.maximum(probs, 1e-12))
+        elif prov.zero_shot == "synthetic":
+            probs = substitution_softmax_pssm(parental)
         else:
-            if prov.zero_shot == "synthetic":
-                probs = substitution_softmax_pssm(parental)
-            else:
-                probs = load_pssm(prov.zero_shot_pssm_path)
-            zero_shot_tables["standard"] = np.log(np.maximum(probs, 1e-12))
+            probs = load_pssm(prov.zero_shot_pssm_path)
+        zero_shot = np.log(np.maximum(probs, 1e-12))
 
-    return _Providers(
-        features=features,
-        context_standard=context_standard,
-        context_antibody=context_antibody,
-        constraint=constraint,
-        zero_shot_tables=zero_shot_tables,
-    )
+    return _Providers(features, context, constraint, zero_shot)
 
 
 def _build_kernel(spec: MethodSpec, providers: _Providers, config: CampaignConfig) -> Kernel | None:
@@ -623,12 +637,7 @@ def _build_kernel(spec: MethodSpec, providers: _Providers, config: CampaignConfi
             ]
         )
     elif spec.kernel_kind == "kermut":
-        context = (
-            providers.context_antibody
-            if spec.context_kind == "antibody"
-            else providers.context_standard
-        )
-        kernel = KermutKernel(context, TanimotoKernel(spec.representation))
+        kernel = KermutKernel(providers.context, TanimotoKernel(spec.representation))
     else:
         raise ConfigError(f"unknown kernel kind {spec.kernel_kind!r}")
 
@@ -669,8 +678,7 @@ def _build_mean(spec: MethodSpec, providers: _Providers, config: CampaignConfig)
     if spec.mean_kind == "constant":
         mean = ConstantMean(0.0)
     else:
-        table_key = spec.mean_table or "standard"
-        mean = ZeroShotMean(providers.zero_shot_tables[table_key])
+        mean = ZeroShotMean(providers.zero_shot)
     _apply_param_overrides(mean, config.mean_overrides, "mean")
     return mean
 
@@ -689,12 +697,8 @@ class _Representer:
         self.features = features
         self._onehot = one_hot_matrix() if "onehot" in fields else None
         self._blosum = blosum62_matrix() if "blosum" in fields else None
-        self._cache: dict[str, KernelInput] = {}
 
     def __call__(self, seq: str) -> KernelInput:
-        cached = self._cache.get(seq)
-        if cached is not None:
-            return cached
         vectors: dict[str, np.ndarray] = {}
         if self._onehot is not None:
             vectors["onehot"] = encode(seq, self._onehot)
@@ -720,9 +724,7 @@ class _Representer:
                         "feature provider must supply both embeddings and coordinates"
                     )
                 vectors["embedding_coords"] = np.concatenate([bundle.embedding, bundle.coords])
-        item = KernelInput(vectors=vectors, mutations=diff(self.parental, seq))
-        self._cache[seq] = item
-        return item
+        return KernelInput(vectors=vectors, mutations=diff(self.parental, seq))
 
 
 def _fields_for(spec: MethodSpec) -> set[str]:
@@ -734,6 +736,54 @@ def _fields_for(spec: MethodSpec) -> set[str]:
     if spec.kernel_kind == "sum":
         return {"coords", rep}
     return {rep}
+
+
+@dataclass
+class _Assembly:
+    """What a campaign builds once from its config; kernel and mean are None for Random."""
+
+    config: CampaignConfig
+    spec: MethodSpec
+    constrained: bool
+    oracle: SyntheticOracle | FixtureOracle
+    providers: _Providers
+    kernel: Kernel | None
+    mean: ConstantMean | ZeroShotMean | None
+    representer: _Representer
+    pool: list[str]
+
+
+def _assemble(config: CampaignConfig) -> _Assembly:
+    """Build the oracle, providers, kernel, mean, representer and pool of a campaign."""
+    spec, constrained = resolve_method(config.method)
+    oracle = _build_oracle(config)
+    providers = _build_providers(config, spec)
+    return _Assembly(
+        config=config,
+        spec=spec,
+        constrained=constrained,
+        oracle=oracle,
+        providers=providers,
+        kernel=_build_kernel(spec, providers, config),
+        mean=_build_mean(spec, providers, config),
+        representer=_Representer(config.parental, _fields_for(spec), providers.features),
+        pool=generate_pool(
+            config.parental,
+            config.protocol.initial_pool_size,
+            _derived_rng(config.seed, _TAG_POOL),
+            max_sites=2,
+        ),
+    )
+
+
+def _initial_dataset(asm: _Assembly, repeat_seed: int) -> Dataset:
+    """The repeat's seeded sample of the pool, labelled by the oracle."""
+    picks = _derived_rng(repeat_seed, _TAG_INIT).choice(
+        len(asm.pool), size=asm.config.protocol.initial_sample_size, replace=False
+    )
+    initial = [asm.pool[i] for i in picks]
+    y0 = [asm.oracle.value(s) for s in initial]
+    return Dataset(initial, [asm.representer(s) for s in initial], y0)
 
 
 # ---------------------------------------------------------------------------
@@ -860,19 +910,24 @@ class CampaignResult:
     def aggregate(self) -> list[dict]:
         """Per-round mean and standard error of best-so-far across repeats."""
         rows = []
-        n_rounds = len(self.logs[0].records)
-        for k in range(n_rounds):
-            values = np.array([log.records[k].best_so_far for log in self.logs])
-            se = float(values.std(ddof=1) / np.sqrt(values.size)) if values.size > 1 else 0.0
+        for k in range(len(self.logs[0].records)):
+            mean, se = _mean_and_se([log.records[k].best_so_far for log in self.logs])
             rows.append(
                 {
                     "round": k,
-                    "best_so_far_mean": float(values.mean()),
+                    "best_so_far_mean": mean,
                     "best_so_far_se": se,
-                    "repeats": int(values.size),
+                    "repeats": len(self.logs),
                 }
             )
         return rows
+
+
+def _mean_and_se(values: list[float]) -> tuple[float, float]:
+    """Mean and standard error (sample std over sqrt n; 0 for one value) of a sample."""
+    values = np.array(values)
+    se = float(values.std(ddof=1) / np.sqrt(values.size)) if values.size > 1 else 0.0
+    return float(values.mean()), se
 
 
 # ---------------------------------------------------------------------------
@@ -903,28 +958,18 @@ def _batch_rmsd(
 
 
 def _run_round(
-    *,
-    config: CampaignConfig,
-    spec: MethodSpec,
-    constrained: bool,
-    round_index: int,
-    repeat_seed: int,
+    asm: _Assembly,
     dataset: Dataset,
-    observed: list[str],
-    best_so_far: float,
-    oracle,
-    providers: _Providers,
-    kernel_template: Kernel | None,
-    mean_template,
-    representer: _Representer,
+    repeat_seed: int,
+    round_index: int,
     front_writer: Callable | None,
-) -> tuple[RoundRecord, Dataset, list[str], float]:
-    proto = config.protocol
-    q = proto.batch_size
-    observed_set = set(observed)
+) -> tuple[RoundRecord, Dataset]:
+    """Fit, search, select, drop and label one round; return its record and the grown data."""
+    config, spec, constrained = asm.config, asm.spec, asm.constrained
+    constraint, representer = asm.providers.constraint, asm.representer
+    q = config.protocol.batch_size
+    observed_set = set(dataset.sequences)
 
-    r_vals = z_vals = None
-    means = stds = None
     n_padded = 0
     hyper = None
     log_ml = None
@@ -932,11 +977,9 @@ def _run_round(
     if spec.kernel_kind == "none":
         rnd_rng = _derived_rng(repeat_seed, _TAG_RANDOM, round_index)
         acquired_seqs = _propose_random_mutants(
-            observed, config.parental, q, rnd_rng, exclude=observed_set
+            dataset.sequences, config.parental, q, rnd_rng, exclude=observed_set
         )
-        likelihoods = np.array(
-            [providers.constraint.pseudo_likelihood(s) for s in acquired_seqs]
-        )
+        likelihoods = np.array([constraint.pseudo_likelihood(s) for s in acquired_seqs])
         sel_records = [
             AcquiredRecord(s, None, None, None, None, float(likelihoods[i]), None, False)
             for i, s in enumerate(acquired_seqs)
@@ -944,8 +987,8 @@ def _run_round(
     else:
         model = fit_gp(
             dataset,
-            kernel_template,
-            mean_template,
+            asm.kernel,
+            asm.mean,
             noise=config.gp.noise_init,
             fit_noise=config.gp.fit_noise,
             restarts=config.gp.restarts,
@@ -954,24 +997,12 @@ def _run_round(
         hyper = model.hyperparameters()
         log_ml = model.log_marginal_likelihood()
 
-        predict_cache: dict[str, np.ndarray] = {}
-
         def evaluator(seq: str) -> np.ndarray:
-            value = predict_cache.get(seq)
-            if value is None:
-                mean_arr, std_arr = model.predict([representer(seq)])
-                if constrained:
-                    value = np.array(
-                        [
-                            mean_arr[0],
-                            std_arr[0],
-                            providers.constraint.pseudo_likelihood(seq),
-                        ]
-                    )
-                else:
-                    value = np.array([mean_arr[0], std_arr[0]])
-                predict_cache[seq] = value
-            return value
+            mean_arr, std_arr = model.predict([representer(seq)])
+            objectives = [mean_arr[0], std_arr[0]]
+            if constrained:
+                objectives.append(constraint.pseudo_likelihood(seq))
+            return np.array(objectives)
 
         order = np.argsort(dataset.y)[::-1]
         top_observed = [dataset.sequences[i] for i in order[:5]]
@@ -1005,7 +1036,7 @@ def _run_round(
         if len(candidates) < q:
             pad_rng = _derived_rng(repeat_seed, _TAG_PAD, round_index)
             extra = _propose_random_mutants(
-                observed,
+                dataset.sequences,
                 config.parental,
                 q - len(candidates),
                 pad_rng,
@@ -1021,7 +1052,7 @@ def _run_round(
         likelihoods = (
             objs[:, 2]
             if constrained
-            else np.array([providers.constraint.pseudo_likelihood(s) for s in candidates])
+            else np.array([constraint.pseudo_likelihood(s) for s in candidates])
         )
         problem = PortfolioProblem(
             means, stds, likelihoods=likelihoods if constrained else None
@@ -1045,7 +1076,7 @@ def _run_round(
 
     drop_rng = _derived_rng(repeat_seed, _TAG_DROP, round_index)
     drop_positions = set(
-        drop_rng.choice(q, size=proto.drop_count, replace=False).tolist()
+        drop_rng.choice(q, size=config.protocol.drop_count, replace=False).tolist()
     )
     surviving: list[str] = []
     for pos, record in enumerate(sel_records):
@@ -1053,20 +1084,18 @@ def _run_round(
             record.dropped = True
         else:
             surviving.append(record.sequence)
-            record.oracle_value = oracle.value(record.sequence)
+            record.oracle_value = asm.oracle.value(record.sequence)
 
     new_y = [rec.oracle_value for rec in sel_records if not rec.dropped]
     dataset = dataset.extended(
         surviving, [representer(s) for s in surviving], new_y
     )
-    observed = observed + surviving
-    best_so_far = max(best_so_far, max(new_y))
 
-    rmsd_mean, rmsd_max = _batch_rmsd(acquired_seqs, providers.features)
+    rmsd_mean, rmsd_max = _batch_rmsd(acquired_seqs, asm.providers.features)
     record = RoundRecord(
         round_index=round_index,
         n_data=len(dataset),
-        best_so_far=float(best_so_far),
+        best_so_far=float(np.max(dataset.y)),
         batch_mean_likelihood=float(np.mean(likelihoods)),
         rmsd_mean=rmsd_mean,
         rmsd_max=rmsd_max,
@@ -1075,7 +1104,7 @@ def _run_round(
         log_marginal_likelihood=log_ml,
         acquired=sel_records,
     )
-    return record, dataset, observed, best_so_far
+    return record, dataset
 
 
 def run_campaign(
@@ -1092,33 +1121,17 @@ def run_campaign(
     methods on the same seed) share the landscape and starting pool and differ
     only in sampling, optimization, and attrition randomness.
     """
-    spec, constrained = resolve_method(config.method)
-    proto = config.protocol
+    asm = _assemble(config)
     say = progress if progress is not None else (print if verbose else None)
-
-    oracle = _build_oracle(config)
-    providers = _build_providers(config, spec, constrained)
-    kernel_template = _build_kernel(spec, providers, config)
-    mean_template = _build_mean(spec, providers, config) if spec.kernel_kind != "none" else None
-    representer = _Representer(config.parental, _fields_for(spec), providers.features)
-
-    pool = generate_pool(
-        config.parental,
-        proto.initial_pool_size,
-        _derived_rng(config.seed, _TAG_POOL),
-        max_sites=2,
+    front_dir = (
+        Path(front_dump_dir) if front_dump_dir is not None and config.dump_fronts else None
     )
 
     logs: list[CampaignLog] = []
-    for repeat in range(proto.repeats):
+    for repeat in range(config.protocol.repeats):
         repeat_seed = config.seed + repeat
-        init_rng = _derived_rng(repeat_seed, _TAG_INIT)
-        picks = init_rng.choice(len(pool), size=proto.initial_sample_size, replace=False)
-        initial = [pool[i] for i in picks]
-        y0 = [oracle.value(s) for s in initial]
-        dataset = Dataset(initial, [representer(s) for s in initial], y0)
-        observed = list(initial)
-        best = float(np.max(y0))
+        dataset = _initial_dataset(asm, repeat_seed)
+        best = float(np.max(dataset.y))
         records = [RoundRecord(round_index=0, n_data=len(dataset), best_so_far=best)]
         if say:
             say(
@@ -1126,28 +1139,11 @@ def run_campaign(
                 f"best={best:.4f}"
             )
 
-        for round_index in range(1, proto.rounds + 1):
-            front_writer = None
-            if front_dump_dir is not None and config.dump_fronts:
-                front_writer = _make_front_writer(
-                    Path(front_dump_dir), repeat, round_index
+        for round_index in range(1, config.protocol.rounds + 1):
+            with _front_writer(front_dir, repeat, round_index) as front_writer:
+                record, dataset = _run_round(
+                    asm, dataset, repeat_seed, round_index, front_writer
                 )
-            record, dataset, observed, best = _run_round(
-                config=config,
-                spec=spec,
-                constrained=constrained,
-                round_index=round_index,
-                repeat_seed=repeat_seed,
-                dataset=dataset,
-                observed=observed,
-                best_so_far=best,
-                oracle=oracle,
-                providers=providers,
-                kernel_template=kernel_template,
-                mean_template=mean_template,
-                representer=representer,
-                front_writer=front_writer,
-            )
             records.append(record)
             if say:
                 say(
@@ -1157,22 +1153,28 @@ def run_campaign(
                 )
         logs.append(CampaignLog(config.method, repeat_seed, repeat, records))
 
-    return CampaignResult(config.method, config.seed, proto, logs)
+    return CampaignResult(config.method, config.seed, config.protocol, logs)
 
 
-def _make_front_writer(out_dir: Path, repeat: int, round_index: int):
+@contextmanager
+def _front_writer(out_dir: Path | None, repeat: int, round_index: int):
+    """Yield a per-generation writer into `fronts_rep*_round*.csv` under
+    `out_dir`, closing the file on exit; yield None when `out_dir` is None."""
+    if out_dir is None:
+        yield None
+        return
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"fronts_rep{repeat}_round{round_index}.csv"
-    fh = path.open("w", newline="")
-    writer = csv.writer(fh)
-    writer.writerow(["generation", "sequence", "objectives"])
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["generation", "sequence", "objectives"])
 
-    def write(generation: int, sequences: list[str], objectives: np.ndarray) -> None:
-        for seq, obj in zip(sequences, objectives):
-            writer.writerow([generation, seq, " ".join(f"{v:.8g}" for v in obj)])
-        fh.flush()
+        def write(generation: int, sequences: list[str], objectives: np.ndarray) -> None:
+            for seq, obj in zip(sequences, objectives):
+                writer.writerow([generation, seq, " ".join(f"{v:.8g}" for v in obj)])
+            fh.flush()
 
-    return write
+        yield write
 
 
 # ---------------------------------------------------------------------------
@@ -1180,15 +1182,18 @@ def _make_front_writer(out_dir: Path, repeat: int, round_index: int):
 
 
 def validate_campaign(config: CampaignConfig) -> list[str]:
-    """Cheap consistency checks plus a dry-run GP fit; returns found problems."""
+    """Cheap consistency checks plus a dry-run GP fit; returns found problems.
+
+    The dry run assembles the campaign as `run_campaign` does and fits one
+    restart on repeat 0's initial sample.
+    """
     problems: list[str] = []
     try:
-        spec, constrained = resolve_method(config.method)
+        spec, _ = resolve_method(config.method)
     except ConfigError as err:
         return [str(err)]
 
     proto = config.protocol
-    final = proto.expected_size(proto.rounds)
     if proto.batch_size > config.ga.population_size and spec.kernel_kind != "none":
         problems.append(
             f"batch_size {proto.batch_size} exceeds GA population "
@@ -1201,39 +1206,19 @@ def validate_campaign(config: CampaignConfig) -> list[str]:
         problems.append(f"bundled substitution matrix failed to load: {err}")
 
     try:
-        oracle = _build_oracle(config)
-        providers = _build_providers(config, spec, constrained)
-    except (FixtureError, ConfigError) as err:
-        problems.append(str(err))
-        return problems
-    if isinstance(oracle, FixtureOracle):
-        problems.append(
-            f"the fixture oracle labels only the {len(oracle.table)} sequences of its "
-            "table, but every round acquires newly proposed designs; the campaign will "
-            "stop with a fixture error at the first one outside the table"
-        )
-
-    try:
-        kernel = _build_kernel(spec, providers, config)
-        mean = _build_mean(spec, providers, config) if spec.kernel_kind != "none" else None
-        representer = _Representer(config.parental, _fields_for(spec), providers.features)
-        pool = generate_pool(
-            config.parental,
-            proto.initial_pool_size,
-            _derived_rng(config.seed, _TAG_POOL),
-            max_sites=2,
-        )
-        picks = _derived_rng(config.seed, _TAG_INIT).choice(
-            len(pool), size=proto.initial_sample_size, replace=False
-        )
-        initial = [pool[i] for i in picks]
-        y0 = [oracle.value(s) for s in initial]
-        if spec.kernel_kind != "none":
-            dataset = Dataset(initial, [representer(s) for s in initial], y0)
+        asm = _assemble(config)
+        if isinstance(asm.oracle, FixtureOracle):
+            problems.append(
+                f"the fixture oracle labels only the {len(asm.oracle.table)} sequences of "
+                "its table, but every round acquires newly proposed designs; the campaign "
+                "will stop with a fixture error at the first one outside the table"
+            )
+        dataset = _initial_dataset(asm, config.seed)
+        if asm.kernel is not None:
             fit_gp(
                 dataset,
-                kernel,
-                mean,
+                asm.kernel,
+                asm.mean,
                 noise=config.gp.noise_init,
                 fit_noise=config.gp.fit_noise,
                 restarts=1,
@@ -1243,9 +1228,6 @@ def validate_campaign(config: CampaignConfig) -> list[str]:
         problems.append(str(err))
     except Exception as err:  # dry-run failures should be reported, not crash
         problems.append(f"dry-run failed: {type(err).__name__}: {err}")
-    else:
-        if final < proto.initial_sample_size:
-            problems.append("protocol arithmetic is inconsistent")
     return problems
 
 

@@ -18,10 +18,9 @@ import sys
 from collections import defaultdict
 from pathlib import Path
 
-import numpy as np
-
 from .campaign import (
     CampaignConfig,
+    _mean_and_se,
     registered_method_names,
     run_campaign,
     validate_campaign,
@@ -162,12 +161,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 raise FixtureError(f"corrupt rounds file {path}: {err}") from None
 
     def summarize(table: dict[tuple[str, int], list[float]]) -> list[list]:
-        rows = []
-        for (method, rnd) in sorted(table):
-            values = np.array(table[(method, rnd)])
-            se = float(values.std(ddof=1) / np.sqrt(values.size)) if values.size > 1 else 0.0
-            rows.append([method, rnd, values.size, float(values.mean()), se])
-        return rows
+        return [
+            [method, rnd, len(values), *_mean_and_se(values)]
+            for (method, rnd), values in sorted(table.items())
+        ]
 
     best_rows = summarize(best)
     rmsd_rows = summarize(rmsd)

@@ -1,3 +1,7 @@
+import csv
+import gc
+import warnings
+
 import numpy as np
 import pytest
 import yaml
@@ -400,6 +404,23 @@ class TestCampaignRuns:
         expected_se = values.std(ddof=1) / np.sqrt(len(values))
         assert rows[1]["best_so_far_se"] == pytest.approx(expected_se)
 
+    def test_front_dumps_are_closed_and_complete(self, tmp_path):
+        config = small_config(dump_fronts=True)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            run_campaign(config, front_dump_dir=tmp_path)
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+        proto = config.protocol
+        files = sorted(tmp_path.glob("fronts_rep*_round*.csv"))
+        assert len(files) == proto.repeats * proto.rounds
+        for path in files:
+            rows = list(csv.reader(path.read_text().splitlines()))
+            assert rows[0] == ["generation", "sequence", "objectives"]
+            generations = {int(row[0]) for row in rows[1:]}
+            assert generations == set(range(config.ga.generations))
+            assert all(len(row[2].split()) == 2 for row in rows[1:])
+
     def test_fixture_oracle_campaign_requires_coverage(self, tmp_path):
         # a fixture oracle that misses a proposed sequence must fail loudly
         table_path = tmp_path / "oracle.csv"
@@ -443,6 +464,32 @@ def test_validate_warns_about_fixture_oracle(tmp_path):
     assert "fixture oracle" in problems[0] and "40 sequences" in problems[0]
     with pytest.raises(FixtureError, match="no value for sequence"):
         run_campaign(config)
+
+
+@pytest.mark.parametrize("method", ["OneHot-T", "C-Kermut-T"])
+def test_validate_and_run_fit_the_same_initial_data(monkeypatch, method):
+    # validate's dry-run fit and the first fit of repeat 0 see the same start
+    import abbo.campaign as campaign
+
+    seen = []
+    real_fit = campaign.fit_gp
+
+    def recording_fit(dataset, *args, **kwargs):
+        seen.append(dataset)
+        return real_fit(dataset, *args, **kwargs)
+
+    monkeypatch.setattr(campaign, "fit_gp", recording_fit)
+    config = small_config(method=method, seed=7, protocol={"repeats": 1, "rounds": 1})
+    assert validate_campaign(config) == []
+    run_campaign(config)
+    assert len(seen) == 2
+    dry, first = seen
+    assert dry.sequences == first.sequences
+    assert np.array_equal(dry.y, first.y)
+    for a, b in zip(dry.inputs, first.inputs):
+        assert a.vectors.keys() == b.vectors.keys()
+        assert all(np.array_equal(a.vectors[k], b.vectors[k]) for k in a.vectors)
+        assert a.mutations == b.mutations
 
 
 def test_validate_warns_about_small_ga_population():

@@ -160,6 +160,32 @@ def test_bad_parameter_override_is_config_error(tmp_path, capsys, command, overr
 
 
 @pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize(
+    "overrides, name",
+    [
+        pytest.param({"seed": "abc"}, "seed", id="seed-text"),
+        pytest.param({"seed": 1.7}, "seed", id="seed-fraction"),
+        pytest.param({"embedding_dim": "abc"}, "embedding_dim", id="embedding-dim-text"),
+        pytest.param(
+            {"providers": {"antibody_temperature": "abc"}},
+            "providers.antibody_temperature",
+            id="temperature-text",
+        ),
+        pytest.param({"dump_fronts": "no"}, "dump_fronts", id="dump-fronts-text"),
+        pytest.param({"gp": {"fit_noise": "no"}}, "gp.fit_noise", id="fit-noise-text"),
+        pytest.param({"protocol": {"rounds": 1.5}}, "protocol.rounds", id="rounds-fraction"),
+        pytest.param({"oracle": {"seed": "abc"}}, "oracle.seed", id="oracle-seed-text"),
+        pytest.param({"ga": {"population_size": 3}}, "population_size", id="ga-odd-population"),
+    ],
+)
+def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, command, overrides, name):
+    config = write_config(tmp_path / "config.yaml", **overrides)
+    code, message = run_or_validate(command, config, tmp_path / "x", capsys)
+    assert code == (EXIT_CONFIG if command == "run" else EXIT_VIOLATIONS)
+    assert name in message
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
 @pytest.mark.parametrize("table_use", ["oracle", "constraint"])
 def test_non_numeric_table_value_is_fixture_error(tmp_path, capsys, command, table_use):
     table = tmp_path / "table.csv"
