@@ -20,6 +20,7 @@ from typing import Callable
 import numpy as np
 import yaml
 
+from ._blas import one_thread
 from .acquisition import PortfolioProblem, select_batch, write_acquisition_csv
 from .exceptions import ConfigError, FixtureError
 from .features import (
@@ -502,6 +503,16 @@ class CampaignConfig:
         providers = ProviderConfig(**prov_raw)
 
         ga_raw = section("ga")
+        for name, kind in (
+            ("population_size", int),
+            ("generations", int),
+            ("max_mutations", int),
+            ("seed", int),
+            ("mutation_rate", float),
+            ("crossover_probability", float),
+        ):
+            if ga_raw.get(name) is not None:
+                _require_type(ga_raw[name], kind, f"ga.{name}")
         try:
             ga = GAConfig(**ga_raw)
         except (TypeError, ValueError) as err:
@@ -1107,6 +1118,7 @@ def _run_round(
     return record, dataset
 
 
+@one_thread()
 def run_campaign(
     config: CampaignConfig,
     *,
@@ -1181,6 +1193,7 @@ def _front_writer(out_dir: Path | None, repeat: int, round_index: int):
 # validation and output files
 
 
+@one_thread()
 def validate_campaign(config: CampaignConfig) -> list[str]:
     """Cheap consistency checks plus a dry-run GP fit; returns found problems.
 

@@ -176,6 +176,13 @@ def test_bad_parameter_override_is_config_error(tmp_path, capsys, command, overr
         pytest.param({"protocol": {"rounds": 1.5}}, "protocol.rounds", id="rounds-fraction"),
         pytest.param({"oracle": {"seed": "abc"}}, "oracle.seed", id="oracle-seed-text"),
         pytest.param({"ga": {"population_size": 3}}, "population_size", id="ga-odd-population"),
+        pytest.param({"ga": {"generations": 2.5}}, "ga.generations", id="ga-generations-fraction"),
+        pytest.param(
+            {"ga": {"max_mutations": 1.5}}, "ga.max_mutations", id="ga-max-mutations-fraction"
+        ),
+        pytest.param(
+            {"ga": {"population_size": "abc"}}, "ga.population_size", id="ga-population-text"
+        ),
     ],
 )
 def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, command, overrides, name):

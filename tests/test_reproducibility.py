@@ -1,0 +1,186 @@
+"""Seeded campaigns reproduce, whatever the machine's BLAS thread default.
+
+Campaigns run BLAS at one thread (`abbo._blas`). The golden fingerprints below
+pin the behaviour of one small seeded campaign per method family; a change that
+moves one must say so. After such a change, print the new values with
+
+    PYTHONPATH=src python3 tests/test_reproducibility.py
+
+and paste them into GOLDEN.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
+import pytest
+
+import abbo
+from abbo import _blas
+from abbo.campaign import (
+    CampaignConfig,
+    OracleConfig,
+    ProtocolConfig,
+    run_campaign,
+    validate_campaign,
+)
+from abbo.exceptions import FixtureError
+from abbo.gaopt import GAConfig
+
+PARENTAL = "EVQLVESGGGLVQPGGSLRLSCAASGFTFSSYAMSWVRQAPGK"
+
+# One campaign per method family: one-hot/BLOSUM Tanimoto, Matern on
+# embeddings, the coordinate-Matern plus Tanimoto sum, Kermut, a constrained
+# variant and the random baseline.
+GOLDEN = {
+    "BLO-T": "3b0c25755b8459c1",
+    "ESM-M": "632319b3d91e3103",
+    "IgFold-BLO-T": "0b3b6af63e6273ca",
+    "Kermut-T": "5f0a8922153ad13f",
+    "C-OneHot-T": "5a362a06e460bb05",
+    "Random": "36d7a5bc543d6ceb",
+}
+
+
+def small_config(method: str) -> CampaignConfig:
+    return CampaignConfig(
+        parental=PARENTAL,
+        method=method,
+        seed=3,
+        protocol=ProtocolConfig(
+            initial_pool_size=80,
+            initial_sample_size=24,
+            rounds=2,
+            batch_size=16,
+            drop_count=5,
+            repeats=1,
+        ),
+        ga=GAConfig(population_size=32, generations=8),
+    )
+
+
+def late_config() -> CampaignConfig:
+    """The benchmark's `onehot-late` campaign at seed 2: one round from 300
+    labels, whose fit sits at its noise bound, so the designs amplify
+    last-digit differences in the model."""
+    return CampaignConfig(
+        parental=PARENTAL,
+        method="OneHot-T",
+        seed=2,
+        protocol=ProtocolConfig(
+            initial_pool_size=400,
+            initial_sample_size=300,
+            rounds=1,
+            batch_size=80,
+            drop_count=30,
+            repeats=1,
+        ),
+    )
+
+
+def fingerprint(config: CampaignConfig) -> str:
+    """The benchmark's behaviour fingerprint (`bench/checks.py`) of a
+    one-repeat campaign: a hash of the best-so-far series and the acquired
+    sequences of every round."""
+    (log,) = run_campaign(config).logs
+    payload = {
+        "best_so_far": [rec.best_so_far for rec in log.records],
+        "acquired": [[a.sequence for a in rec.acquired] for rec in log.records],
+    }
+    return hashlib.sha256(json.dumps(payload).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("method", sorted(GOLDEN))
+def test_golden_fingerprint(method):
+    assert fingerprint(small_config(method)) == GOLDEN[method]
+
+
+def test_seeded_campaign_does_not_depend_on_blas_threads():
+    # Before campaigns pinned BLAS to one thread, this campaign gave
+    # best-so-far 10.569 at one OpenBLAS thread and 9.848 at two.
+    src = Path(abbo.__file__).resolve().parents[1]
+    code = (
+        f"import sys; sys.path[:0] = [{str(src)!r}, {str(Path(__file__).parent)!r}]\n"
+        "from test_reproducibility import fingerprint, late_config\n"
+        "print(fingerprint(late_config()))\n"
+    )
+    prints = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=600
+        )
+        assert done.returncode == 0, done.stderr
+        prints.append(done.stdout.strip())
+    assert prints[0] == prints[1]
+
+
+@pytest.fixture
+def two_threads():
+    """Every reachable OpenBLAS at two threads for the test, then back."""
+    controls = _blas._controls()
+    assert len(controls) == 2, "this numpy/scipy build exposes no OpenBLAS thread control"
+    before = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(2)
+    yield controls
+    for (_, set_), count in zip(controls, before):
+        set_(count)
+
+
+def test_campaign_runs_at_one_thread_and_restores_the_counts(two_threads, monkeypatch):
+    import abbo.campaign as campaign
+
+    during = []
+    real_fit = campaign.fit_gp
+
+    def recording_fit(*args, **kwargs):
+        during.append([get() for get, _ in two_threads])
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(campaign, "fit_gp", recording_fit)
+    run_campaign(small_config("OneHot-T"))
+    assert during and all(counts == [1, 1] for counts in during)
+    assert [get() for get, _ in two_threads] == [2, 2]
+    assert validate_campaign(small_config("OneHot-T")) == []
+    assert [get() for get, _ in two_threads] == [2, 2]
+
+
+def test_failing_campaign_restores_the_counts(two_threads, tmp_path):
+    table = tmp_path / "oracle.csv"
+    table.write_text(f"{PARENTAL},0.0\n")
+    config = small_config("OneHot-T")
+    config.oracle = OracleConfig(kind="fixture", table_path=str(table))
+    with pytest.raises(FixtureError):
+        run_campaign(config)
+    assert [get() for get, _ in two_threads] == [2, 2]
+
+
+def test_missing_thread_control_warns_once_and_runs(monkeypatch):
+    missing = tuple((module, "no_getter", "no_such_setter") for module, *_ in _blas._LIBRARIES)
+    monkeypatch.setattr(_blas, "_LIBRARIES", missing)
+    _blas._controls.cache_clear()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = run_campaign(small_config("OneHot-T"))
+            assert validate_campaign(small_config("OneHot-T")) == []
+    finally:
+        _blas._controls.cache_clear()
+    assert len(result.logs[0].records) == 3
+    (warning,) = [w for w in caught if "BLAS thread count" in str(w.message)]
+    assert warning.category is RuntimeWarning
+    assert "no_such_setter" in str(warning.message)
+
+
+if __name__ == "__main__":
+    print("GOLDEN = {")
+    for method in GOLDEN:
+        print(f"    {method!r}: {fingerprint(small_config(method))!r},")
+    print("}")
