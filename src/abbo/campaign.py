@@ -27,7 +27,6 @@ from .features import (
     FixtureFeatureProvider,
     StructureContext,
     SyntheticFeatureProvider,
-    kabsch_align,
     load_structure_context,
     synthetic_structure_context,
 )
@@ -502,15 +501,17 @@ class CampaignConfig:
                 prov_raw[key] = resolve(prov_raw[key])
         providers = ProviderConfig(**prov_raw)
 
+        # each round derives the GA seed and objective set itself (`_run_round`)
         ga_raw = section("ga")
-        for name, kind in (
-            ("population_size", int),
-            ("generations", int),
-            ("max_mutations", int),
-            ("seed", int),
-            ("mutation_rate", float),
-            ("crossover_probability", float),
-        ):
+        ga_types = {
+            "population_size": int,
+            "generations": int,
+            "max_mutations": int,
+            "mutation_rate": float,
+            "crossover_probability": float,
+        }
+        _require_keys(ga_raw, set(ga_types), "ga")
+        for name, kind in ga_types.items():
             if ga_raw.get(name) is not None:
                 _require_type(ga_raw[name], kind, f"ga.{name}")
         try:
@@ -956,15 +957,9 @@ def _derived_int(seed: int, *tags: int) -> int:
 def _batch_rmsd(
     sequences: list[str], features
 ) -> tuple[float | None, float | None]:
-    if features is None or getattr(features, "parental_coords", None) is None:
+    if features is None or features.parental_coords is None:
         return None, None
-    values = []
-    for seq in sequences:
-        coords = features.features(seq).coords
-        if coords is None:
-            return None, None
-        _, rmsd = kabsch_align(coords.reshape(-1, 3), features.parental_coords)
-        values.append(rmsd)
+    values = [features.features(seq).rmsd for seq in sequences]
     return float(np.mean(values)), float(np.max(values))
 
 
@@ -1030,20 +1025,11 @@ def _run_round(
             seed_sequences=top_observed,
             front_writer=front_writer,
         )
-        candidates = [seq for seq, _ in result.front]
-        cand_objs = [obj for _, obj in result.front]
-
-        if len(candidates) < q:
-            in_batch = set(candidates)
-            for seq, obj, rank, _ in result.ranked:
-                if len(candidates) >= q:
-                    break
-                if rank == 0 or seq in in_batch:
-                    continue
-                candidates.append(seq)
-                cand_objs.append(obj)
-                in_batch.add(seq)
-                n_padded += 1
+        # `ranked` is the front first, then the runners-up by rank, without repeats
+        kept = result.ranked[: max(q, len(result.front))]
+        candidates = [seq for seq, *_ in kept]
+        cand_objs = [obj for _, obj, *_ in kept]
+        n_padded = len(kept) - len(result.front)
         if len(candidates) < q:
             pad_rng = _derived_rng(repeat_seed, _TAG_PAD, round_index)
             extra = _propose_random_mutants(

@@ -3,13 +3,14 @@
 Real folding and embedding models are out of scope, so features come from one
 of two places: fixture files exported ahead of time, or deterministic synthetic
 generators good enough to exercise every downstream code path. Both are hidden
-behind providers with identical query methods and per-sequence caching.
+behind providers with identical query methods. Every feature is a pure function
+of the sequence, so providers keep no per-sequence state; the GA's per-round
+evaluation cache (`gaopt.evolve`) is what spares repeated builds.
 """
 
 from __future__ import annotations
 
 import csv
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -107,6 +108,7 @@ class FeatureBundle:
 
     embedding: np.ndarray | None = None
     coords: np.ndarray | None = None  # flattened (3L,), aligned to the parental frame
+    rmsd: float | None = None  # of `coords` against the parental, from the same alignment
 
 
 def _check_distances(distances: np.ndarray) -> np.ndarray:
@@ -237,8 +239,7 @@ class SyntheticFeatureProvider:
     derived from hashed seeds, so they are reproducible across processes and
     independent of the campaign seed.
 
-    Results are cached per sequence; `computations` counts actual builds, so
-    tests can assert that repeated queries hit the cache. Thread-safe.
+    `computations` counts the bundles built, one per `features()` call.
     """
 
     def __init__(self, parental: str, seed: int = 0, embedding_dim: int = 64):
@@ -252,8 +253,6 @@ class SyntheticFeatureProvider:
         self.embedding_dim = embedding_dim
         self.parental_coords = _raw_synthetic_coords(parental, seed)
         self.computations = 0
-        self._cache: dict[str, FeatureBundle] = {}
-        self._lock = threading.Lock()
         self._embed_table: np.ndarray | None = None
 
     def _embedding_table(self) -> np.ndarray:
@@ -275,11 +274,6 @@ class SyntheticFeatureProvider:
         idx = np.fromiter((AA_INDEX[c] for c in seq), dtype=int, count=len(seq))
         return table[np.arange(len(seq)), idx].mean(axis=0)
 
-    def _build(self, seq: str) -> FeatureBundle:
-        raw = _raw_synthetic_coords(seq, self.seed)
-        aligned, _ = kabsch_align(raw, self.parental_coords)
-        return FeatureBundle(embedding=self._embed(seq), coords=aligned.ravel())
-
     def _check(self, seq: str) -> None:
         validate_sequence(seq)
         if len(seq) != len(self.parental):
@@ -290,21 +284,17 @@ class SyntheticFeatureProvider:
     def embedding(self, seq: str) -> np.ndarray:
         """The embedding of `features(seq)` alone: no coordinates, no alignment.
 
-        Not cached and not counted in `computations`; it costs one table
-        lookup per site.
+        Not counted in `computations`; it costs one table lookup per site.
         """
         self._check(seq)
         return self._embed(seq)
 
     def features(self, seq: str) -> FeatureBundle:
         self._check(seq)
-        with self._lock:
-            bundle = self._cache.get(seq)
-            if bundle is None:
-                bundle = self._build(seq)
-                self.computations += 1
-                self._cache[seq] = bundle
-        return bundle
+        raw = _raw_synthetic_coords(seq, self.seed)
+        aligned, rmsd = kabsch_align(raw, self.parental_coords)
+        self.computations += 1
+        return FeatureBundle(embedding=self._embed(seq), coords=aligned.ravel(), rmsd=rmsd)
 
 
 def load_embedding_fixture(path: str | Path) -> dict[str, np.ndarray]:
@@ -356,12 +346,13 @@ def load_coords_fixture(path: str | Path) -> dict[str, np.ndarray]:
 
 
 class FixtureFeatureProvider:
-    """Features replayed from fixture files, aligned and cached like the synthetic route.
+    """Features replayed from fixture files, aligned like the synthetic route.
 
     Either fixture may be omitted; the matching bundle field is then None and
     methods that need it fail downstream with a clear message. When coordinates
     are given the parental sequence must have a row, since every variant is
-    aligned into the parental frame.
+    aligned into the parental frame. `computations` counts the bundles built,
+    one per `features()` call.
     """
 
     def __init__(
@@ -387,10 +378,9 @@ class FixtureFeatureProvider:
         else:
             self.parental_coords = None
         self.computations = 0
-        self._cache: dict[str, FeatureBundle] = {}
-        self._lock = threading.Lock()
 
-    def _build(self, seq: str) -> FeatureBundle:
+    def features(self, seq: str) -> FeatureBundle:
+        validate_sequence(seq)
         embedding = None
         if self._embeddings is not None:
             try:
@@ -399,7 +389,7 @@ class FixtureFeatureProvider:
                 raise FixtureError(
                     f"embedding fixture has no entry for sequence {seq!r}"
                 ) from None
-        coords = None
+        coords = rmsd = None
         if self._coords is not None:
             try:
                 raw = self._coords[seq]
@@ -407,16 +397,7 @@ class FixtureFeatureProvider:
                 raise FixtureError(
                     f"coordinate fixture has no entry for sequence {seq!r}"
                 ) from None
-            aligned, _ = kabsch_align(raw, self.parental_coords)
+            aligned, rmsd = kabsch_align(raw, self.parental_coords)
             coords = aligned.ravel()
-        return FeatureBundle(embedding=embedding, coords=coords)
-
-    def features(self, seq: str) -> FeatureBundle:
-        validate_sequence(seq)
-        with self._lock:
-            bundle = self._cache.get(seq)
-            if bundle is None:
-                bundle = self._build(seq)
-                self.computations += 1
-                self._cache[seq] = bundle
-        return bundle
+        self.computations += 1
+        return FeatureBundle(embedding=embedding, coords=coords, rmsd=rmsd)

@@ -260,10 +260,7 @@ _LOG2PI = np.log(2.0 * np.pi)
 
 def _core(kernel, mean, noise, prep, mean_prep, y, want_grads):
     """Log marginal likelihood (and raw-space gradients) at the current parameters."""
-    if want_grads:
-        k, kgrads = kernel.gram_grad_prepared(prep)
-    else:
-        k, kgrads = kernel.gram_prepared(prep), {}
+    k, kgrads = kernel.gram_grad_prepared(prep)
     n = y.size
     a = k + noise * np.eye(n)
     chol, jitter = cholesky_with_jitter(a)

@@ -166,7 +166,7 @@ class Kernel(_Namespace):
         raise NotImplementedError
 
     def gram_prepared(self, prep) -> np.ndarray:
-        raise NotImplementedError
+        return self.gram_grad_prepared(prep)[0]
 
     def gram_grad_prepared(self, prep) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         raise NotImplementedError
@@ -222,11 +222,6 @@ class TanimotoKernel(_VectorKernel):
             raise ValueError("Tanimoto undefined: a pair of zero vectors was compared")
         return inner / denom
 
-    def gram_prepared(self, prep: np.ndarray) -> np.ndarray:
-        inner = prep @ prep.T
-        sq = np.einsum("ij,ij->i", prep, prep)
-        return self._values["variance"] * self._similarity(inner, sq, sq)
-
     def gram_grad_prepared(self, prep):
         inner = prep @ prep.T
         sq = np.einsum("ij,ij->i", prep, prep)
@@ -278,9 +273,6 @@ class Matern52Kernel(_VectorKernel):
         dk_dell = var * (5.0 / 3.0) * s**2 * (1.0 + _SQRT5 * s) * decay / ell
         return k, dk_dell
 
-    def gram_prepared(self, prep) -> np.ndarray:
-        return self._eval(_sq_dists(prep, prep))[0]
-
     def gram_grad_prepared(self, prep):
         k, dk_dell = self._eval(_sq_dists(prep, prep))
         return k, {"variance": k / self._values["variance"], "lengthscale": dk_dell}
@@ -311,9 +303,6 @@ class SquaredExponentialKernel(_VectorKernel):
     def _eval(self, d2: np.ndarray) -> np.ndarray:
         ell = self._values["lengthscale"]
         return self._values["variance"] * np.exp(-0.5 * d2 / ell**2)
-
-    def gram_prepared(self, prep) -> np.ndarray:
-        return self._eval(_sq_dists(prep, prep))
 
     def gram_grad_prepared(self, prep):
         d2 = _sq_dists(prep, prep)
@@ -366,12 +355,6 @@ class SumKernel(_Combinator):
             raise ValueError(f"weights must be nonnegative, got {list(weights)}")
         self.weights = [float(w) for w in weights]
 
-    def gram_prepared(self, prep) -> np.ndarray:
-        return sum(
-            w * child.gram_prepared(p)
-            for w, (_, child), p in zip(self.weights, self.children, prep)
-        )
-
     def gram_grad_prepared(self, prep):
         total = None
         grads: dict[str, np.ndarray] = {}
@@ -397,13 +380,6 @@ class SumKernel(_Combinator):
 
 class ProductKernel(_Combinator):
     """Elementwise product of child kernels."""
-
-    def gram_prepared(self, prep) -> np.ndarray:
-        out = None
-        for (_, child), p in zip(self.children, prep):
-            k = child.gram_prepared(p)
-            out = k if out is None else out * k
-        return out
 
     def gram_grad_prepared(self, prep):
         ks: list[np.ndarray] = []
@@ -582,13 +558,6 @@ class KermutKernel(Kernel):
     def _entry_kernel(self, hh, pp, dd) -> np.ndarray:
         v = self._values
         return np.exp(-v["gamma_h"] * hh - v["gamma_p"] * pp - v["gamma_d"] * dd)
-
-    def gram_prepared(self, prep: _KermutPrepared) -> np.ndarray:
-        v = self._values
-        t = self._entry_kernel(prep.hh, prep.pp, prep.dd)
-        k_struct = prep.incidence @ t @ prep.incidence.T
-        k_seq = self.seq_kernel.gram_prepared(prep.seq_prep)
-        return v["variance"] * (v["mix"] * k_struct + (1.0 - v["mix"]) * k_seq)
 
     def gram_grad_prepared(self, prep: _KermutPrepared):
         v = self._values

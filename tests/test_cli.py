@@ -183,6 +183,11 @@ def test_bad_parameter_override_is_config_error(tmp_path, capsys, command, overr
         pytest.param(
             {"ga": {"population_size": "abc"}}, "ga.population_size", id="ga-population-text"
         ),
+        # a round derives both from the campaign seed and the method
+        pytest.param({"ga": {"seed": 1}}, "ga: ['seed']", id="ga-seed"),
+        pytest.param(
+            {"ga": {"objective_set": "mean_std"}}, "ga: ['objective_set']", id="ga-objective-set"
+        ),
     ],
 )
 def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, command, overrides, name):

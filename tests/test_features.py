@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -138,11 +140,40 @@ class TestSyntheticFeatures:
         b = SyntheticFeatureProvider(PARENTAL, seed=1).features(PARENTAL).coords
         assert not np.allclose(a, b)
 
-    def test_cache_counts_builds_once(self):
+    @staticmethod
+    def mutants(rng, count: int) -> list[str]:
+        """`count` distinct sequences, each 1 to 4 substitutions from PARENTAL."""
+        found: set[str] = set()
+        while len(found) < count:
+            chars = list(PARENTAL)
+            for pos in rng.choice(len(PARENTAL), size=int(rng.integers(1, 5)), replace=False):
+                chars[pos] = rng.choice([a for a in ALPHABET if a != PARENTAL[pos]])
+            found.add("".join(chars))
+        return sorted(found)
+
+    def test_features_keep_no_memory_per_sequence(self, rng):
+        # the GA's per-round cache is the one evaluation cache; a provider
+        # that kept every bundle grew by ~1 KB per distinct sequence here
         provider = SyntheticFeatureProvider(PARENTAL)
-        provider.features(PARENTAL)
-        provider.features(PARENTAL)
-        assert provider.computations == 1
+        provider.features(PARENTAL)  # builds the embedding table
+        seqs = self.mutants(rng, 500)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for seq in seqs:
+                provider.features(seq)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 64 * 1024
+        assert provider.computations == 501
+
+    def test_rmsd_is_that_of_the_aligned_coords(self, rng):
+        provider = SyntheticFeatureProvider(PARENTAL, seed=3)
+        for seq in self.mutants(rng, 100):
+            bundle = provider.features(seq)
+            _, realigned = kabsch_align(bundle.coords.reshape(-1, 3), provider.parental_coords)
+            assert bundle.rmsd == pytest.approx(realigned, rel=1e-12)
 
     def test_variant_coords_are_aligned_to_parental_frame(self):
         provider = SyntheticFeatureProvider(PARENTAL, seed=0)
@@ -190,8 +221,9 @@ class TestFixtureProviders:
         provider = FixtureFeatureProvider("ACD", embedding_path=emb, coords_path=coords)
         bundle = provider.features("ACY")
         assert np.allclose(bundle.embedding, vectors["ACY"])
-        aligned, _ = kabsch_align(points["ACY"], points["ACD"])
+        aligned, rmsd = kabsch_align(points["ACY"], points["ACD"])
         assert np.allclose(bundle.coords, aligned.ravel())
+        assert bundle.rmsd == pytest.approx(rmsd, abs=1e-6)
 
     def test_missing_sequence_raises_fixture_error(self, tmp_path):
         emb = tmp_path / "emb.csv"
