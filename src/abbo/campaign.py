@@ -556,6 +556,10 @@ class CampaignConfig:
 # providers and method assembly
 
 
+# representation fields that only a feature provider can supply
+_PROVIDER_FIELDS = frozenset({"embedding", "coords", "embedding_coords"})
+
+
 @dataclass
 class _Providers:
     features: SyntheticFeatureProvider | FixtureFeatureProvider | None
@@ -577,7 +581,7 @@ def _build_providers(config: CampaignConfig, spec: MethodSpec) -> _Providers:
     parental = config.parental
 
     features = None
-    needs_vectors = spec.representation in ("embedding", "coords", "embedding+coords")
+    needs_vectors = bool(_PROVIDER_FIELDS & _fields_for(spec))
     # coordinates also feed the per-round RMSD log, so build the provider
     # whenever the synthetic route makes that possible
     if needs_vectors or prov.features == "synthetic":
@@ -716,7 +720,7 @@ class _Representer:
             vectors["onehot"] = encode(seq, self._onehot)
         if self._blosum is not None:
             vectors["blosum"] = encode(seq, self._blosum)
-        if {"embedding", "coords", "embedding_coords"} & self.fields:
+        if _PROVIDER_FIELDS & self.fields:
             if self.features is None:
                 raise ConfigError(
                     "method needs embeddings or coordinates but no feature provider is configured"

@@ -6,6 +6,12 @@ generators good enough to exercise every downstream code path. Both are hidden
 behind providers with identical query methods. Every feature is a pure function
 of the sequence, so providers keep no per-sequence state; the GA's per-round
 evaluation cache (`gaopt.evolve`) is what spares repeated builds.
+
+What a provider keeps depends only on the parental sequence. The synthetic
+route tabulates the raw position and the embedding vector of every (site,
+residue) pair once, on first use, so a build is two gathers. The Kabsch
+reference, the parental structure, is centred and checked for collinearity
+once, so each build centres and checks only the variant.
 """
 
 from __future__ import annotations
@@ -66,33 +72,54 @@ def kabsch_align(
     """
     mobile = np.asarray(mobile, dtype=float)
     reference = np.asarray(reference, dtype=float)
+    _check_same_shape(mobile, reference)
+    moving = _Frame(mobile, "mobile")
+    return _Frame(reference, "reference").superpose(moving)
+
+
+def _check_same_shape(mobile: np.ndarray, reference: np.ndarray) -> None:
     if mobile.shape != reference.shape:
         raise ValueError(
             f"shape mismatch: mobile {mobile.shape} vs reference {reference.shape}"
         )
-    if mobile.ndim != 2 or mobile.shape[1] != 3:
-        raise ValueError(f"expected (N, 3) coordinate arrays, got {mobile.shape}")
-    if mobile.shape[0] < 3:
-        raise ValueError("alignment needs at least 3 points")
 
-    mob_centroid = mobile.mean(axis=0)
-    ref_centroid = reference.mean(axis=0)
-    mob_c = mobile - mob_centroid
-    ref_c = reference - ref_centroid
 
-    for name, pts in (("mobile", mob_c), ("reference", ref_c)):
-        s = np.linalg.svd(pts, compute_uv=False)
+class _Frame:
+    """An (N, 3) point set, checked and centred once for Kabsch alignment.
+
+    `kabsch_align` builds one per argument; a feature provider builds the
+    parental frame once and aligns every variant onto it with `align`.
+    """
+
+    def __init__(self, points: np.ndarray, name: str):
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != 3:
+            raise ValueError(f"expected (N, 3) coordinate arrays, got {points.shape}")
+        if points.shape[0] < 3:
+            raise ValueError("alignment needs at least 3 points")
+        self.points = points
+        self.centroid = points.mean(axis=0)
+        self.centred = points - self.centroid
+        s = np.linalg.svd(self.centred, compute_uv=False)
         if s[1] <= 1e-10 * max(s[0], 1e-30):
             raise ValueError(f"{name} points are collinear; rotation is ill-defined")
 
-    cov = mob_c.T @ ref_c
-    u, _, vt = np.linalg.svd(cov)
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    flip = np.diag([1.0, 1.0, d])
-    rot = vt.T @ flip @ u.T
-    aligned = mob_c @ rot.T + ref_centroid
-    rmsd = float(np.sqrt(np.mean(np.sum((aligned - reference) ** 2, axis=1))))
-    return aligned, rmsd
+    def align(self, mobile: np.ndarray) -> tuple[np.ndarray, float]:
+        """`kabsch_align(mobile, self.points)`, with this frame's checks not repeated."""
+        mobile = np.asarray(mobile, dtype=float)
+        _check_same_shape(mobile, self.points)
+        return self.superpose(_Frame(mobile, "mobile"))
+
+    def superpose(self, mobile: _Frame) -> tuple[np.ndarray, float]:
+        """Rotate and translate `mobile` onto this frame; return (aligned, rmsd)."""
+        cov = mobile.centred.T @ self.centred
+        u, _, vt = np.linalg.svd(cov)
+        d = np.sign(np.linalg.det(vt.T @ u.T))
+        flip = np.diag([1.0, 1.0, d])
+        rot = vt.T @ flip @ u.T
+        aligned = mobile.centred @ rot.T + self.centroid
+        rmsd = float(np.sqrt(np.mean(np.sum((aligned - self.points) ** 2, axis=1))))
+        return aligned, rmsd
 
 
 def pairwise_distances(coords: np.ndarray) -> np.ndarray:
@@ -181,11 +208,21 @@ def _residue_offset(position: int, residue: str, seed: int) -> np.ndarray:
     return rng.uniform(0.0, _MAX_OFFSET) * direction
 
 
-def _raw_synthetic_coords(seq: str, seed: int) -> np.ndarray:
-    coords = _helix_backbone(len(seq))
-    for i, ch in enumerate(seq):
-        coords[i] += _residue_offset(i, ch, seed)
-    return coords
+def _raw_position_table(length: int, seed: int) -> np.ndarray:
+    """(length, 20, 3) raw position of every residue at every site: helix plus offset."""
+    offsets = np.array(
+        [[_residue_offset(i, aa, seed) for aa in ALPHABET] for i in range(length)]
+    )
+    return _helix_backbone(length)[:, None, :] + offsets
+
+
+def _residue_indices(seq: str) -> np.ndarray:
+    return np.fromiter((AA_INDEX[c] for c in seq), dtype=int, count=len(seq))
+
+
+def _raw_synthetic_coords(seq: str, table: np.ndarray) -> np.ndarray:
+    """(L, 3) unaligned coordinates of `seq`, gathered from a `_raw_position_table`."""
+    return table[np.arange(len(seq)), _residue_indices(seq)]
 
 
 def synthetic_structure_context(
@@ -200,7 +237,7 @@ def synthetic_structure_context(
     validate_sequence(parental)
     if len(parental) < 3:
         raise ValueError("synthetic structure context needs length >= 3")
-    coords = _raw_synthetic_coords(parental, seed)
+    coords = _raw_synthetic_coords(parental, _raw_position_table(len(parental), seed))
     return StructureContext(
         site_probs=substitution_softmax_pssm(parental, temperature),
         distances=pairwise_distances(coords),
@@ -234,12 +271,17 @@ class SyntheticFeatureProvider:
     Coordinates: an idealized helix plus a bounded per-(position, residue)
     offset keyed on the seed, rigidly aligned to the parental structure. A
     point mutation therefore moves the raw structure only at the mutated site.
+    The raw position of every (site, residue) pair is tabulated once per
+    provider, so a build is one gather; the parental frame that every build
+    aligns onto is centred and checked once.
 
     Embeddings: the mean over sites of fixed per-(position, residue) vectors
     derived from hashed seeds, so they are reproducible across processes and
     independent of the campaign seed.
 
-    `computations` counts the bundles built, one per `features()` call.
+    Both tables are built on first use: a provider asked only for
+    `embedding` never builds coordinates. `computations` counts the bundles
+    built, one per `features()` call.
     """
 
     def __init__(self, parental: str, seed: int = 0, embedding_dim: int = 64):
@@ -251,9 +293,10 @@ class SyntheticFeatureProvider:
         self.parental = parental
         self.seed = seed
         self.embedding_dim = embedding_dim
-        self.parental_coords = _raw_synthetic_coords(parental, seed)
         self.computations = 0
         self._embed_table: np.ndarray | None = None
+        self._coord_table: np.ndarray | None = None
+        self._frame: _Frame | None = None
 
     def _embedding_table(self) -> np.ndarray:
         # (L, 20, dim) table, built once; no campaign seed on purpose.
@@ -269,10 +312,22 @@ class SyntheticFeatureProvider:
             self._embed_table = table
         return self._embed_table
 
-    def _embed(self, seq: str) -> np.ndarray:
-        table = self._embedding_table()
-        idx = np.fromiter((AA_INDEX[c] for c in seq), dtype=int, count=len(seq))
-        return table[np.arange(len(seq)), idx].mean(axis=0)
+    def _coordinate_table(self) -> np.ndarray:
+        # (L, 20, 3) table, built once, keyed on the campaign seed.
+        if self._coord_table is None:
+            self._coord_table = _raw_position_table(len(self.parental), self.seed)
+        return self._coord_table
+
+    def _parental_frame(self) -> _Frame:
+        if self._frame is None:
+            raw = _raw_synthetic_coords(self.parental, self._coordinate_table())
+            self._frame = _Frame(raw, "reference")
+        return self._frame
+
+    @property
+    def parental_coords(self) -> np.ndarray:
+        """(L, 3) raw parental coordinates, the frame every build is aligned to."""
+        return self._parental_frame().points
 
     def _check(self, seq: str) -> None:
         validate_sequence(seq)
@@ -280,6 +335,9 @@ class SyntheticFeatureProvider:
             raise ValueError(
                 f"sequence length {len(seq)} != parental length {len(self.parental)}"
             )
+
+    def _embed(self, seq: str) -> np.ndarray:
+        return self._embedding_table()[np.arange(len(seq)), _residue_indices(seq)].mean(axis=0)
 
     def embedding(self, seq: str) -> np.ndarray:
         """The embedding of `features(seq)` alone: no coordinates, no alignment.
@@ -291,10 +349,30 @@ class SyntheticFeatureProvider:
 
     def features(self, seq: str) -> FeatureBundle:
         self._check(seq)
-        raw = _raw_synthetic_coords(seq, self.seed)
-        aligned, rmsd = kabsch_align(raw, self.parental_coords)
+        raw = _raw_synthetic_coords(seq, self._coordinate_table())
+        aligned, rmsd = self._parental_frame().align(raw)
         self.computations += 1
         return FeatureBundle(embedding=self._embed(seq), coords=aligned.ravel(), rmsd=rmsd)
+
+
+def _fixture_rows(path: Path, kind: str):
+    """(sequence, finite float values) of each data row of a fixture CSV."""
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
+            if not row or row[0].startswith("#") or row[0].lower() == "sequence":
+                continue
+            try:
+                values = np.array([float(v) for v in row[1:]], dtype=float)
+            except ValueError as err:
+                raise FixtureError(
+                    f"{kind} fixture {path}: bad row {reader.line_num}: {err}"
+                ) from None
+            if not np.all(np.isfinite(values)):
+                raise FixtureError(
+                    f"{kind} fixture {path}: row {reader.line_num} has a non-finite value"
+                )
+            yield row[0].strip(), values
 
 
 def load_embedding_fixture(path: str | Path) -> dict[str, np.ndarray]:
@@ -304,19 +382,15 @@ def load_embedding_fixture(path: str | Path) -> dict[str, np.ndarray]:
         raise FixtureError(f"embedding fixture {path} does not exist")
     table: dict[str, np.ndarray] = {}
     dim: int | None = None
-    with path.open(newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].startswith("#") or row[0].lower() == "sequence":
-                continue
-            vec = np.array([float(v) for v in row[1:]], dtype=float)
-            if dim is None:
-                dim = vec.size
-            elif vec.size != dim:
-                raise FixtureError(
-                    f"embedding fixture {path}: inconsistent dimensions "
-                    f"({vec.size} vs {dim})"
-                )
-            table[row[0].strip()] = vec
+    for seq, vec in _fixture_rows(path, "embedding"):
+        if dim is None:
+            dim = vec.size
+        elif vec.size != dim:
+            raise FixtureError(
+                f"embedding fixture {path}: inconsistent dimensions "
+                f"({vec.size} vs {dim})"
+            )
+        table[seq] = vec
     if not table:
         raise FixtureError(f"embedding fixture {path} has no entries")
     return table
@@ -328,18 +402,13 @@ def load_coords_fixture(path: str | Path) -> dict[str, np.ndarray]:
     if not path.exists():
         raise FixtureError(f"coordinate fixture {path} does not exist")
     table: dict[str, np.ndarray] = {}
-    with path.open(newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].startswith("#") or row[0].lower() == "sequence":
-                continue
-            seq = row[0].strip()
-            flat = np.array([float(v) for v in row[1:]], dtype=float)
-            if flat.size != 3 * len(seq):
-                raise FixtureError(
-                    f"coordinate fixture {path}: sequence of length {len(seq)} "
-                    f"needs {3 * len(seq)} values, got {flat.size}"
-                )
-            table[seq] = flat.reshape(-1, 3)
+    for seq, flat in _fixture_rows(path, "coordinate"):
+        if flat.size != 3 * len(seq):
+            raise FixtureError(
+                f"coordinate fixture {path}: sequence of length {len(seq)} "
+                f"needs {3 * len(seq)} values, got {flat.size}"
+            )
+        table[seq] = flat.reshape(-1, 3)
     if not table:
         raise FixtureError(f"coordinate fixture {path} has no entries")
     return table
@@ -351,8 +420,9 @@ class FixtureFeatureProvider:
     Either fixture may be omitted; the matching bundle field is then None and
     methods that need it fail downstream with a clear message. When coordinates
     are given the parental sequence must have a row, since every variant is
-    aligned into the parental frame. `computations` counts the bundles built,
-    one per `features()` call.
+    aligned into the parental frame; that row is checked and centred here, so
+    a degenerate one is a fixture error before any build. `computations`
+    counts the bundles built, one per `features()` call.
     """
 
     def __init__(
@@ -369,14 +439,20 @@ class FixtureFeatureProvider:
             None if embedding_path is None else load_embedding_fixture(embedding_path)
         )
         self._coords = None if coords_path is None else load_coords_fixture(coords_path)
+        self._frame: _Frame | None = None
+        self.parental_coords = None
         if self._coords is not None:
             if parental not in self._coords:
                 raise FixtureError(
                     "coordinate fixture has no row for the parental sequence"
                 )
-            self.parental_coords = self._coords[parental]
-        else:
-            self.parental_coords = None
+            try:
+                self._frame = _Frame(self._coords[parental], "reference")
+            except ValueError as err:
+                raise FixtureError(
+                    f"coordinate fixture {coords_path}: parental row: {err}"
+                ) from None
+            self.parental_coords = self._frame.points
         self.computations = 0
 
     def features(self, seq: str) -> FeatureBundle:
@@ -390,14 +466,14 @@ class FixtureFeatureProvider:
                     f"embedding fixture has no entry for sequence {seq!r}"
                 ) from None
         coords = rmsd = None
-        if self._coords is not None:
+        if self._frame is not None:
             try:
                 raw = self._coords[seq]
             except KeyError:
                 raise FixtureError(
                     f"coordinate fixture has no entry for sequence {seq!r}"
                 ) from None
-            aligned, rmsd = kabsch_align(raw, self.parental_coords)
+            aligned, rmsd = self._frame.align(raw)
             coords = aligned.ravel()
         self.computations += 1
         return FeatureBundle(embedding=embedding, coords=coords, rmsd=rmsd)

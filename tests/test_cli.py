@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
+from abbo.campaign import CampaignConfig, _assemble
 from abbo.cli import (
     EXIT_CONFIG,
     EXIT_FIXTURE,
@@ -15,6 +16,7 @@ from abbo.cli import (
     EXIT_VIOLATIONS,
     main,
 )
+from abbo.features import SyntheticFeatureProvider
 
 PARENTAL = "MKTAYIAKQRQISFVKSHFSRQ"
 
@@ -211,6 +213,61 @@ def test_non_numeric_table_value_is_fixture_error(tmp_path, capsys, command, tab
     assert code == (EXIT_FIXTURE if command == "run" else EXIT_VIOLATIONS)
     assert "table.csv" in message
     assert "row 3" in message
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("bad", ["abc", "nan", "inf"])
+@pytest.mark.parametrize("kind", ["embedding", "coords"])
+def test_malformed_feature_fixture_is_fixture_error(tmp_path, capsys, command, bad, kind):
+    values = [f"{0.1 * k:.1f}" for k in range(3 * len(PARENTAL))]
+    fixture = tmp_path / "features.csv"
+    fixture.write_text(
+        f"sequence,values\n{PARENTAL},{','.join(values)}\n"
+        f"{PARENTAL[:-1]}A,{','.join(values[:-1] + [bad])}\n"
+    )
+    method = "ESM-M" if kind == "embedding" else "IgFold-M"
+    providers = {"features": "fixture", f"{kind}_path": str(fixture)}
+    config = write_config(tmp_path / "config.yaml", method=method, providers=providers)
+    code, message = run_or_validate(command, config, tmp_path / "x", capsys)
+    assert code == (EXIT_FIXTURE if command == "run" else EXIT_VIOLATIONS)
+    assert "features.csv" in message
+    assert "row 3" in message
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_collinear_parental_coordinates_fail_before_round_one(tmp_path, capsys, command):
+    coords = tmp_path / "coords.csv"
+    line = ",".join(f"{i}.0,{2 * i}.0,{3 * i}.0" for i in range(len(PARENTAL)))
+    coords.write_text(f"{PARENTAL},{line}\n")
+    providers = {"features": "fixture", "coords_path": str(coords)}
+    config = write_config(tmp_path / "config.yaml", method="IgFold-M", providers=providers)
+    code, message = run_or_validate(command, config, tmp_path / "x", capsys)
+    assert code == (EXIT_FIXTURE if command == "run" else EXIT_VIOLATIONS)
+    assert "coords.csv" in message
+    assert "collinear" in message
+    assert not (tmp_path / "x" / "rounds.csv").exists()
+
+
+@pytest.mark.parametrize("method", ["IgFold-BLO-T", "C-IgFold-BLO-T"])
+def test_sum_kernel_method_reads_coordinate_fixture(tmp_path, capsys, method):
+    # the sum kernel's coordinates come from the configured fixture provider
+    pool = _assemble(CampaignConfig.from_yaml(write_config(tmp_path / "synthetic.yaml"))).pool
+    provider = SyntheticFeatureProvider(PARENTAL)
+    coords = tmp_path / "coords.csv"
+    coords.write_text(
+        "".join(
+            seq + "," + ",".join(f"{v:.17g}" for v in provider.features(seq).coords) + "\n"
+            for seq in [PARENTAL, *pool]
+        )
+    )
+    providers = {"features": "fixture", "coords_path": str(coords)}
+    config = write_config(tmp_path / "config.yaml", method=method, providers=providers)
+    assert main(["validate", "--config", str(config)]) == EXIT_OK
+    assert "config ok" in capsys.readouterr().out
+    # a run goes on until the GA proposes a design the fixture does not cover
+    code, message = run_or_validate("run", config, tmp_path / "x", capsys)
+    assert code == EXIT_FIXTURE
+    assert "coordinate fixture has no entry" in message
 
 
 def test_usage_error_code_differs_from_every_other_code(capsys):

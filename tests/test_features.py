@@ -8,7 +8,13 @@ from abbo.features import (
     FixtureFeatureProvider,
     StructureContext,
     SyntheticFeatureProvider,
+    _Frame,
+    _helix_backbone,
+    _raw_synthetic_coords,
+    _residue_offset,
     kabsch_align,
+    load_coords_fixture,
+    load_embedding_fixture,
     load_structure_context,
     pairwise_distances,
     synthetic_structure_context,
@@ -51,12 +57,17 @@ def test_kabsch_handles_reflection_prone_cases(rng):
 
 def test_kabsch_rejects_degenerate_input():
     line = np.stack([np.arange(5.0)] * 3, axis=1)  # collinear
-    with pytest.raises(ValueError):
+    plane = np.random.default_rng(0).standard_normal((5, 3))
+    with pytest.raises(ValueError, match="mobile points are collinear"):
         kabsch_align(line, line)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="reference points are collinear"):
+        kabsch_align(plane, line)
+    with pytest.raises(ValueError, match="at least 3 points"):
         kabsch_align(np.zeros((2, 3)), np.zeros((2, 3)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="shape mismatch"):
         kabsch_align(np.zeros((4, 3)), np.zeros((5, 3)))
+    with pytest.raises(ValueError, match=r"expected \(N, 3\)"):
+        kabsch_align(np.zeros((4, 2)), np.zeros((4, 2)))
 
 
 def test_kabsch_rmsd_matches_direct_formula(rng):
@@ -65,6 +76,31 @@ def test_kabsch_rmsd_matches_direct_formula(rng):
     aligned, rmsd = kabsch_align(a, b)
     direct = np.sqrt(np.mean(np.sum((aligned - b) ** 2, axis=1)))
     assert rmsd == pytest.approx(direct, rel=1e-12)
+
+
+def test_prepared_reference_aligns_bitwise_like_kabsch(rng):
+    for _ in range(100):
+        n = int(rng.integers(3, 40))
+        ref = rng.standard_normal((n, 3)) * rng.uniform(0.5, 5.0)
+        mobile = rng.standard_normal((n, 3)) + rng.standard_normal(3) * 10.0
+        frame = _Frame(ref, "reference")
+        for _ in range(3):  # the frame is reused, never changed by an alignment
+            aligned, rmsd = frame.align(mobile)
+            expected, expected_rmsd = kabsch_align(mobile, ref)
+            assert np.array_equal(aligned, expected)
+            assert rmsd == expected_rmsd
+
+
+def test_prepared_reference_keeps_every_check_on_mobile():
+    frame = _Frame(np.random.default_rng(0).standard_normal((5, 3)), "reference")
+    with pytest.raises(ValueError, match="mobile points are collinear"):
+        frame.align(np.stack([np.arange(5.0)] * 3, axis=1))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        frame.align(np.zeros((4, 3)))
+    with pytest.raises(ValueError, match="at least 3 points"):
+        _Frame(np.zeros((2, 3)), "reference")
+    with pytest.raises(ValueError, match="reference points are collinear"):
+        _Frame(np.stack([np.arange(5.0)] * 3, axis=1), "reference")
 
 
 def test_pairwise_distances_against_loop(rng):
@@ -114,13 +150,54 @@ class TestSyntheticFeatures:
         from abbo.features import _raw_synthetic_coords
 
         variant = "W" + PARENTAL[1:]
-        raw_p = _raw_synthetic_coords(PARENTAL, 0)
-        raw_v = _raw_synthetic_coords(variant, 0)
+        raw_p = _raw_synthetic_coords(PARENTAL, provider._coordinate_table())
+        raw_v = _raw_synthetic_coords(variant, provider._coordinate_table())
         assert not np.allclose(raw_p[0], raw_v[0])
         assert np.allclose(raw_p[1:], raw_v[1:])
         # two residue offsets of at most 0.8 A each bound the displacement
         assert np.linalg.norm(raw_p[0] - raw_v[0]) <= 2 * 0.8 + 1e-12
         assert provider.features(variant).coords is not None
+
+    @staticmethod
+    def per_residue_coords(seq: str, seed: int) -> np.ndarray:
+        """Raw coordinates built site by site, one seeded offset per residue."""
+        coords = _helix_backbone(len(seq))
+        for i, ch in enumerate(seq):
+            coords[i] += _residue_offset(i, ch, seed)
+        return coords
+
+    @pytest.mark.parametrize("seed", [0, 1, 17, 2**31 + 5])
+    def test_table_coords_equal_per_residue_build(self, rng, seed):
+        provider = SyntheticFeatureProvider(PARENTAL, seed=seed)
+        table = provider._coordinate_table()
+        assert table.shape == (len(PARENTAL), len(ALPHABET), 3)
+        assert np.array_equal(provider.parental_coords, self.per_residue_coords(PARENTAL, seed))
+        context = synthetic_structure_context(PARENTAL, seed=seed)
+        assert np.array_equal(context.parental_coords, provider.parental_coords)
+        for seq in self.mutants(rng, 20) + ["".join(rng.choice(list(ALPHABET), len(PARENTAL)))]:
+            assert np.array_equal(
+                _raw_synthetic_coords(seq, table), self.per_residue_coords(seq, seed)
+            )
+            bundle = provider.features(seq)
+            aligned, rmsd = kabsch_align(self.per_residue_coords(seq, seed), provider.parental_coords)
+            assert np.array_equal(bundle.coords, aligned.ravel())
+            assert bundle.rmsd == rmsd
+
+    def test_features_construct_no_generator_once_tables_exist(self, rng, monkeypatch):
+        provider = SyntheticFeatureProvider(PARENTAL, seed=4)
+        provider.features(PARENTAL)
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("a Generator was constructed after the tables were built")
+
+        monkeypatch.setattr("abbo.features.np.random.default_rng", no_generator)
+        for seq in self.mutants(rng, 20):
+            assert provider.features(seq).coords is not None
+
+    def test_embedding_only_use_builds_no_coordinates(self):
+        provider = SyntheticFeatureProvider(PARENTAL, seed=4)
+        provider.embedding(PARENTAL)
+        assert provider._coord_table is None and provider._frame is None
 
     def test_embedding_is_mean_of_site_vectors(self):
         provider = SyntheticFeatureProvider(PARENTAL, seed=0, embedding_dim=16)
@@ -231,6 +308,20 @@ class TestFixtureProviders:
         provider = FixtureFeatureProvider("ACD", embedding_path=emb)
         with pytest.raises(FixtureError, match="ACY"):
             provider.features("ACY")
+
+    @pytest.mark.parametrize("bad", ["abc", "nan", "inf", "-inf"])
+    @pytest.mark.parametrize("loader", [load_embedding_fixture, load_coords_fixture])
+    def test_malformed_value_is_fixture_error_naming_file_and_row(self, tmp_path, loader, bad):
+        path = tmp_path / "fixture.csv"
+        path.write_text(f"sequence,v\nACD,{','.join(['1.5'] * 9)}\nACY,0,1,0,0,0,1,1,0,{bad}\n")
+        with pytest.raises(FixtureError, match=r"fixture\.csv.*row 3"):
+            loader(path)
+
+    def test_collinear_parental_row_fails_at_construction(self, tmp_path):
+        coords = tmp_path / "coords.csv"
+        coords.write_text("ACD,0,0,0,1,1,1,2,2,2\nACY,0,0,0,1,0,0,0,1,0\n")
+        with pytest.raises(FixtureError, match="coords.csv.*parental row.*collinear"):
+            FixtureFeatureProvider("ACD", coords_path=coords)
 
     def test_coords_fixture_requires_parental_row(self, tmp_path):
         coords = tmp_path / "coords.csv"
