@@ -52,6 +52,7 @@ from .kernels import (
     KermutKernel,
     Kernel,
     KernelInput,
+    KernelInputs,
     Matern52Kernel,
     ProductKernel,
     SquaredExponentialKernel,
@@ -101,6 +102,7 @@ __all__ = [
     # kernels
     "Kernel",
     "KernelInput",
+    "KernelInputs",
     "TanimotoKernel",
     "Matern52Kernel",
     "SquaredExponentialKernel",

@@ -31,10 +31,10 @@ from .features import (
     synthetic_structure_context,
 )
 from .gaopt import GAConfig, evolve
-from .gp import ConstantMean, Dataset, ZeroShotMean, fit_gp
+from .gp import ConstantMean, Dataset, GPModel, ZeroShotMean, fit_gp
 from .kernels import (
     Kernel,
-    KernelInput,
+    KernelInputs,
     KermutKernel,
     Matern52Kernel,
     SumKernel,
@@ -47,7 +47,14 @@ from .plm import (
     load_pssm,
     substitution_softmax_pssm,
 )
-from .sequences import ALPHABET, blosum62_matrix, diff, encode, one_hot_matrix, validate_sequence
+from .sequences import (
+    ALPHABET,
+    blosum62_matrix,
+    diff,
+    one_hot_matrix,
+    residue_indices,
+    validate_sequence,
+)
 
 __all__ = [
     "MethodSpec",
@@ -248,6 +255,9 @@ class FixtureOracle:
         if not table:
             raise FixtureError("oracle fixture table is empty")
         self.table = {validate_sequence(k): float(v) for k, v in table.items()}
+        for seq, label in self.table.items():
+            if not np.isfinite(label):
+                raise FixtureError(f"oracle fixture label for sequence {seq!r} is {label}")
 
     def value(self, seq: str) -> float:
         try:
@@ -699,48 +709,70 @@ def _build_mean(spec: MethodSpec, providers: _Providers, config: CampaignConfig)
     return mean
 
 
+@dataclass
+class _Representation:
+    """A batch of sequences as kernel inputs, plus the RMSD of each build when asked."""
+
+    inputs: KernelInputs
+    rmsd: np.ndarray | None
+
+
 class _Representer:
-    """Sequence -> KernelInput with exactly the vector fields a method needs."""
+    """Sequences -> KernelInputs with exactly the vector fields and mutation
+    sets a method reads, a whole batch at a time.
+
+    A batch is checked once, as an (m, L) residue-index array; one-hot and
+    BLOSUM rows are gathered from it, and a method that reads embeddings or
+    coordinates gets them from one `features_many` call.
+    """
 
     def __init__(
         self,
         parental: str,
         fields: set[str],
         features: SyntheticFeatureProvider | FixtureFeatureProvider | None,
+        with_mutations: bool,
     ):
         self.parental = parental
         self.fields = fields
         self.features = features
-        self._onehot = one_hot_matrix() if "onehot" in fields else None
-        self._blosum = blosum62_matrix() if "blosum" in fields else None
+        self.with_mutations = with_mutations
+        encodings = {"onehot": one_hot_matrix, "blosum": blosum62_matrix}
+        self._tables = {name: encodings[name]().table() for name in encodings if name in fields}
 
-    def __call__(self, seq: str) -> KernelInput:
-        vectors: dict[str, np.ndarray] = {}
-        if self._onehot is not None:
-            vectors["onehot"] = encode(seq, self._onehot)
-        if self._blosum is not None:
-            vectors["blosum"] = encode(seq, self._blosum)
+    def represent(self, seqs: list[str], *, rmsd: bool = False) -> _Representation:
+        """Kernel inputs of `seqs`; with `rmsd`, also the RMSD of each build
+        whenever the feature provider has parental coordinates."""
+        idx = residue_indices(seqs, len(self.parental))
+        m = len(seqs)
+        vectors = {name: table[idx].reshape(m, -1) for name, table in self._tables.items()}
+        bundle = None
         if _PROVIDER_FIELDS & self.fields:
             if self.features is None:
                 raise ConfigError(
                     "method needs embeddings or coordinates but no feature provider is configured"
                 )
-            bundle = self.features.features(seq)
-            if "embedding" in self.fields:
-                if bundle.embedding is None:
-                    raise FixtureError("feature provider has no embeddings configured")
-                vectors["embedding"] = bundle.embedding
-            if "coords" in self.fields:
-                if bundle.coords is None:
-                    raise FixtureError("feature provider has no coordinates configured")
-                vectors["coords"] = bundle.coords
-            if "embedding_coords" in self.fields:
-                if bundle.embedding is None or bundle.coords is None:
-                    raise FixtureError(
-                        "feature provider must supply both embeddings and coordinates"
-                    )
-                vectors["embedding_coords"] = np.concatenate([bundle.embedding, bundle.coords])
-        return KernelInput(vectors=vectors, mutations=diff(self.parental, seq))
+            bundle = self.features.features_many(seqs)
+        elif rmsd and self.features is not None and self.features.parental_coords is not None:
+            bundle = self.features.features_many(seqs)
+        if "embedding" in self.fields:
+            if bundle.embedding is None:
+                raise FixtureError("feature provider has no embeddings configured")
+            vectors["embedding"] = bundle.embedding
+        if "coords" in self.fields:
+            if bundle.coords is None:
+                raise FixtureError("feature provider has no coordinates configured")
+            vectors["coords"] = bundle.coords
+        if "embedding_coords" in self.fields:
+            if bundle.embedding is None or bundle.coords is None:
+                raise FixtureError(
+                    "feature provider must supply both embeddings and coordinates"
+                )
+            vectors["embedding_coords"] = np.concatenate([bundle.embedding, bundle.coords], axis=1)
+        mutations = [diff(self.parental, s) for s in seqs] if self.with_mutations else [None] * m
+        return _Representation(
+            KernelInputs(vectors, mutations), None if bundle is None or not rmsd else bundle.rmsd
+        )
 
 
 def _fields_for(spec: MethodSpec) -> set[str]:
@@ -782,7 +814,13 @@ def _assemble(config: CampaignConfig) -> _Assembly:
         providers=providers,
         kernel=_build_kernel(spec, providers, config),
         mean=_build_mean(spec, providers, config),
-        representer=_Representer(config.parental, _fields_for(spec), providers.features),
+        representer=_Representer(
+            config.parental,
+            _fields_for(spec),
+            providers.features,
+            # only Kermut kernels and zero-shot means read mutation sets
+            with_mutations=spec.kernel_kind == "kermut" or spec.mean_kind == "zero-shot",
+        ),
         pool=generate_pool(
             config.parental,
             config.protocol.initial_pool_size,
@@ -799,7 +837,7 @@ def _initial_dataset(asm: _Assembly, repeat_seed: int) -> Dataset:
     )
     initial = [asm.pool[i] for i in picks]
     y0 = [asm.oracle.value(s) for s in initial]
-    return Dataset(initial, [asm.representer(s) for s in initial], y0)
+    return Dataset(initial, list(asm.representer.represent(initial).inputs), y0)
 
 
 # ---------------------------------------------------------------------------
@@ -958,13 +996,22 @@ def _derived_int(seed: int, *tags: int) -> int:
     return int(np.random.SeedSequence([seed, *tags]).generate_state(1)[0])
 
 
-def _batch_rmsd(
-    sequences: list[str], features
-) -> tuple[float | None, float | None]:
-    if features is None or features.parental_coords is None:
-        return None, None
-    values = [features.features(seq).rmsd for seq in sequences]
-    return float(np.mean(values)), float(np.max(values))
+def _batch_objectives(asm: _Assembly, model: GPModel) -> Callable[[list[str]], np.ndarray]:
+    """The GA's scorer: one (m, k) row of objectives per sequence of a batch.
+
+    The columns are the posterior mean and standard deviation, plus the
+    pseudo-likelihood for a constrained method; a batch costs one
+    representation, one posterior predict and one likelihood pass.
+    """
+
+    def evaluate_many(seqs: list[str]) -> np.ndarray:
+        means, stds = model.predict(asm.representer.represent(seqs).inputs)
+        columns = [means, stds]
+        if asm.constrained:
+            columns.append(asm.providers.constraint.pseudo_likelihoods(seqs))
+        return np.column_stack(columns)
+
+    return evaluate_many
 
 
 def _run_round(
@@ -989,7 +1036,7 @@ def _run_round(
         acquired_seqs = _propose_random_mutants(
             dataset.sequences, config.parental, q, rnd_rng, exclude=observed_set
         )
-        likelihoods = np.array([constraint.pseudo_likelihood(s) for s in acquired_seqs])
+        likelihoods = constraint.pseudo_likelihoods(acquired_seqs)
         sel_records = [
             AcquiredRecord(s, None, None, None, None, float(likelihoods[i]), None, False)
             for i, s in enumerate(acquired_seqs)
@@ -1007,13 +1054,7 @@ def _run_round(
         hyper = model.hyperparameters()
         log_ml = model.log_marginal_likelihood()
 
-        def evaluator(seq: str) -> np.ndarray:
-            mean_arr, std_arr = model.predict([representer(seq)])
-            objectives = [mean_arr[0], std_arr[0]]
-            if constrained:
-                objectives.append(constraint.pseudo_likelihood(seq))
-            return np.array(objectives)
-
+        evaluate_many = _batch_objectives(asm, model)
         order = np.argsort(dataset.y)[::-1]
         top_observed = [dataset.sequences[i] for i in order[:5]]
         ga_config = dataclasses.replace(
@@ -1023,7 +1064,7 @@ def _run_round(
         )
         result = evolve(
             config.parental,
-            evaluator,
+            evaluate_many,
             ga_config,
             exclude=observed_set,
             seed_sequences=top_observed,
@@ -1043,18 +1084,13 @@ def _run_round(
                 pad_rng,
                 exclude=observed_set | set(candidates),
             )
-            for seq in extra:
-                candidates.append(seq)
-                cand_objs.append(evaluator(seq))
-                n_padded += 1
+            candidates += extra
+            cand_objs += list(evaluate_many(extra))
+            n_padded += len(extra)
 
         objs = np.stack(cand_objs)
         means, stds = objs[:, 0], objs[:, 1]
-        likelihoods = (
-            objs[:, 2]
-            if constrained
-            else np.array([constraint.pseudo_likelihood(s) for s in candidates])
-        )
+        likelihoods = objs[:, 2] if constrained else constraint.pseudo_likelihoods(candidates)
         problem = PortfolioProblem(
             means, stds, likelihoods=likelihoods if constrained else None
         )
@@ -1079,20 +1115,24 @@ def _run_round(
     drop_positions = set(
         drop_rng.choice(q, size=config.protocol.drop_count, replace=False).tolist()
     )
-    surviving: list[str] = []
     for pos, record in enumerate(sel_records):
         if pos in drop_positions:
             record.dropped = True
         else:
-            surviving.append(record.sequence)
             record.oracle_value = asm.oracle.value(record.sequence)
 
-    new_y = [rec.oracle_value for rec in sel_records if not rec.dropped]
+    # one representation of the acquired batch feeds the dataset and the RMSD log
+    acquired = representer.represent(acquired_seqs, rmsd=True)
+    kept_pos = [pos for pos, rec in enumerate(sel_records) if not rec.dropped]
     dataset = dataset.extended(
-        surviving, [representer(s) for s in surviving], new_y
+        [acquired_seqs[pos] for pos in kept_pos],
+        [acquired.inputs[pos] for pos in kept_pos],
+        [sel_records[pos].oracle_value for pos in kept_pos],
     )
 
-    rmsd_mean, rmsd_max = _batch_rmsd(acquired_seqs, asm.providers.features)
+    rmsd_mean = rmsd_max = None
+    if acquired.rmsd is not None:
+        rmsd_mean, rmsd_max = float(np.mean(acquired.rmsd)), float(np.max(acquired.rmsd))
     record = RoundRecord(
         round_index=round_index,
         n_data=len(dataset),

@@ -11,7 +11,9 @@ What a provider keeps depends only on the parental sequence. The synthetic
 route tabulates the raw position and the embedding vector of every (site,
 residue) pair once, on first use, so a build is two gathers. The Kabsch
 reference, the parental structure, is centred and checked for collinearity
-once, so each build centres and checks only the variant.
+once, so each build centres and checks only the variant. Providers build a
+batch of sequences at once (`features_many`): the variants of a batch are
+checked and aligned by stacked SVDs over (m, N, 3) and (m, 3, 3) arrays.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from .exceptions import FixtureError
 from .plm import _check_pssm, substitution_softmax_pssm
-from .sequences import AA_INDEX, ALPHABET, validate_sequence
+from .sequences import AA_INDEX, ALPHABET, residue_indices, validate_sequence
 
 __all__ = [
     "kabsch_align",
@@ -73,8 +75,10 @@ def kabsch_align(
     mobile = np.asarray(mobile, dtype=float)
     reference = np.asarray(reference, dtype=float)
     _check_same_shape(mobile, reference)
-    moving = _Frame(mobile, "mobile")
-    return _Frame(reference, "reference").superpose(moving)
+    _check_points(mobile)
+    _, moving = _centred(mobile[None], "mobile")
+    aligned, rmsd = _Frame(reference, "reference").superpose(moving)
+    return aligned[0], float(rmsd[0])
 
 
 def _check_same_shape(mobile: np.ndarray, reference: np.ndarray) -> None:
@@ -84,41 +88,61 @@ def _check_same_shape(mobile: np.ndarray, reference: np.ndarray) -> None:
         )
 
 
-class _Frame:
-    """An (N, 3) point set, checked and centred once for Kabsch alignment.
+def _check_points(points: np.ndarray) -> None:
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise ValueError(f"expected (N, 3) coordinate arrays, got {points.shape}")
+    if points.shape[0] < 3:
+        raise ValueError("alignment needs at least 3 points")
 
-    `kabsch_align` builds one per argument; a feature provider builds the
-    parental frame once and aligns every variant onto it with `align`.
+
+def _centred(stack: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """(centroids (m, 1, 3), centred points (m, N, 3)) of a stack of point sets,
+    each checked for collinearity by one stacked singular-value call."""
+    centroid = stack.mean(axis=-2, keepdims=True)
+    centred = stack - centroid
+    s = np.linalg.svd(centred, compute_uv=False)
+    if np.any(s[:, 1] <= 1e-10 * np.maximum(s[:, 0], 1e-30)):
+        raise ValueError(f"{name} points are collinear; rotation is ill-defined")
+    return centroid, centred
+
+
+class _Frame:
+    """An (N, 3) reference point set, checked and centred once for Kabsch alignment.
+
+    `kabsch_align` builds one per call; a feature provider builds the parental
+    frame once and aligns every batch of variants onto it with `align_many`.
     """
 
     def __init__(self, points: np.ndarray, name: str):
         points = np.asarray(points, dtype=float)
-        if points.ndim != 2 or points.shape[1] != 3:
-            raise ValueError(f"expected (N, 3) coordinate arrays, got {points.shape}")
-        if points.shape[0] < 3:
-            raise ValueError("alignment needs at least 3 points")
+        _check_points(points)
         self.points = points
-        self.centroid = points.mean(axis=0)
-        self.centred = points - self.centroid
-        s = np.linalg.svd(self.centred, compute_uv=False)
-        if s[1] <= 1e-10 * max(s[0], 1e-30):
-            raise ValueError(f"{name} points are collinear; rotation is ill-defined")
+        self.centroid, self.centred = (a[0] for a in _centred(points[None], name))
 
-    def align(self, mobile: np.ndarray) -> tuple[np.ndarray, float]:
-        """`kabsch_align(mobile, self.points)`, with this frame's checks not repeated."""
+    def align_many(self, mobile: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Align an (m, N, 3) stack onto this frame; return (aligned (m, N, 3), rmsd (m,)).
+
+        Row i is `kabsch_align(mobile[i], self.points)`, with this frame's
+        checks not repeated.
+        """
         mobile = np.asarray(mobile, dtype=float)
-        _check_same_shape(mobile, self.points)
-        return self.superpose(_Frame(mobile, "mobile"))
+        if mobile.shape[1:] != self.points.shape:
+            raise ValueError(
+                f"shape mismatch: mobile {mobile.shape[1:]} vs reference {self.points.shape}"
+            )
+        return self.superpose(_centred(mobile, "mobile")[1])
 
-    def superpose(self, mobile: _Frame) -> tuple[np.ndarray, float]:
-        """Rotate and translate `mobile` onto this frame; return (aligned, rmsd)."""
-        cov = mobile.centred.T @ self.centred
+    def superpose(self, centred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rotate centred (m, N, 3) point sets onto this frame and move them to
+        its centroid; one stacked SVD of the (m, 3, 3) covariances gives every
+        rotation."""
+        cov = np.swapaxes(centred, 1, 2) @ self.centred
         u, _, vt = np.linalg.svd(cov)
-        d = np.sign(np.linalg.det(vt.T @ u.T))
-        flip = np.diag([1.0, 1.0, d])
-        rot = vt.T @ flip @ u.T
-        aligned = mobile.centred @ rot.T + self.centroid
-        rmsd = float(np.sqrt(np.mean(np.sum((aligned - self.points) ** 2, axis=1))))
+        v, ut = np.swapaxes(vt, 1, 2), np.swapaxes(u, 1, 2)
+        v[:, :, 2] *= np.sign(np.linalg.det(v @ ut))[:, None]
+        rot = v @ ut
+        aligned = centred @ np.swapaxes(rot, 1, 2) + self.centroid
+        rmsd = np.sqrt(np.mean(np.sum((aligned - self.points) ** 2, axis=2), axis=1))
         return aligned, rmsd
 
 
@@ -131,11 +155,23 @@ def pairwise_distances(coords: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FeatureBundle:
-    """Per-sequence features; fields are None when the provider lacks that source."""
+    """Features of one sequence (`features`) or of a batch (`features_many`,
+    where each field gains a leading axis of one row per sequence).
+
+    Fields are None when the provider lacks that source.
+    """
 
     embedding: np.ndarray | None = None
     coords: np.ndarray | None = None  # flattened (3L,), aligned to the parental frame
-    rmsd: float | None = None  # of `coords` against the parental, from the same alignment
+    rmsd: float | np.ndarray | None = None  # of `coords` against the parental, same alignment
+
+    def row(self, i: int) -> "FeatureBundle":
+        """The features of the batch's i-th sequence."""
+        return FeatureBundle(
+            embedding=None if self.embedding is None else self.embedding[i],
+            coords=None if self.coords is None else self.coords[i],
+            rmsd=None if self.rmsd is None else float(self.rmsd[i]),
+        )
 
 
 def _check_distances(distances: np.ndarray) -> np.ndarray:
@@ -216,13 +252,15 @@ def _raw_position_table(length: int, seed: int) -> np.ndarray:
     return _helix_backbone(length)[:, None, :] + offsets
 
 
-def _residue_indices(seq: str) -> np.ndarray:
-    return np.fromiter((AA_INDEX[c] for c in seq), dtype=int, count=len(seq))
+def _gather(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Rows of an (L, 20, ...) per-(site, residue) table at residue indices
+    (..., L): shape (..., L, ...)."""
+    return table[np.arange(idx.shape[-1]), idx]
 
 
 def _raw_synthetic_coords(seq: str, table: np.ndarray) -> np.ndarray:
     """(L, 3) unaligned coordinates of `seq`, gathered from a `_raw_position_table`."""
-    return table[np.arange(len(seq)), _residue_indices(seq)]
+    return _gather(table, residue_indices([seq], len(seq))[0])
 
 
 def synthetic_structure_context(
@@ -280,8 +318,10 @@ class SyntheticFeatureProvider:
     independent of the campaign seed.
 
     Both tables are built on first use: a provider asked only for
-    `embedding` never builds coordinates. `computations` counts the bundles
-    built, one per `features()` call.
+    `embedding` never builds coordinates. `features_many` builds a whole
+    batch with one gather per table and one stacked alignment; `computations`
+    counts the sequences built, one per sequence of a `features` or
+    `features_many` call.
     """
 
     def __init__(self, parental: str, seed: int = 0, embedding_dim: int = 64):
@@ -329,30 +369,39 @@ class SyntheticFeatureProvider:
         """(L, 3) raw parental coordinates, the frame every build is aligned to."""
         return self._parental_frame().points
 
-    def _check(self, seq: str) -> None:
-        validate_sequence(seq)
-        if len(seq) != len(self.parental):
-            raise ValueError(
-                f"sequence length {len(seq)} != parental length {len(self.parental)}"
-            )
-
-    def _embed(self, seq: str) -> np.ndarray:
-        return self._embedding_table()[np.arange(len(seq)), _residue_indices(seq)].mean(axis=0)
+    def _indices(self, seqs) -> np.ndarray:
+        return residue_indices(seqs, len(self.parental))
 
     def embedding(self, seq: str) -> np.ndarray:
         """The embedding of `features(seq)` alone: no coordinates, no alignment.
 
         Not counted in `computations`; it costs one table lookup per site.
         """
-        self._check(seq)
-        return self._embed(seq)
+        return self._embed(self._indices([seq]))[0]
+
+    def _embed(self, idx: np.ndarray) -> np.ndarray:
+        """(m, dim) embeddings of (m, L) residue indices: the mean of the site
+        vectors, summed site by site so no (m, L, dim) array is built."""
+        table = self._embedding_table()
+        total = np.zeros((idx.shape[0], self.embedding_dim))
+        for site in range(idx.shape[1]):
+            total += table[site, idx[:, site]]
+        return total / idx.shape[1]
 
     def features(self, seq: str) -> FeatureBundle:
-        self._check(seq)
-        raw = _raw_synthetic_coords(seq, self._coordinate_table())
-        aligned, rmsd = self._parental_frame().align(raw)
-        self.computations += 1
-        return FeatureBundle(embedding=self._embed(seq), coords=aligned.ravel(), rmsd=rmsd)
+        return self.features_many([seq]).row(0)
+
+    def features_many(self, seqs) -> FeatureBundle:
+        """Features of a batch of sequences: two table gathers and one stacked
+        alignment onto the parental frame."""
+        idx = self._indices(seqs)
+        aligned, rmsd = self._parental_frame().align_many(_gather(self._coordinate_table(), idx))
+        self.computations += len(idx)
+        return FeatureBundle(
+            embedding=self._embed(idx),
+            coords=aligned.reshape(len(idx), -1),
+            rmsd=rmsd,
+        )
 
 
 def _fixture_rows(path: Path, kind: str):
@@ -422,7 +471,7 @@ class FixtureFeatureProvider:
     are given the parental sequence must have a row, since every variant is
     aligned into the parental frame; that row is checked and centred here, so
     a degenerate one is a fixture error before any build. `computations`
-    counts the bundles built, one per `features()` call.
+    counts the sequences built, as for the synthetic provider.
     """
 
     def __init__(
@@ -456,24 +505,28 @@ class FixtureFeatureProvider:
         self.computations = 0
 
     def features(self, seq: str) -> FeatureBundle:
-        validate_sequence(seq)
+        return self.features_many([seq]).row(0)
+
+    def features_many(self, seqs) -> FeatureBundle:
+        """Features of a batch of sequences: one lookup per sequence and one
+        stacked alignment onto the parental frame."""
+        seqs = list(seqs)
+        for seq in seqs:
+            validate_sequence(seq)
         embedding = None
         if self._embeddings is not None:
-            try:
-                embedding = self._embeddings[seq]
-            except KeyError:
-                raise FixtureError(
-                    f"embedding fixture has no entry for sequence {seq!r}"
-                ) from None
+            embedding = np.stack([self._lookup(self._embeddings, "embedding", s) for s in seqs])
         coords = rmsd = None
         if self._frame is not None:
-            try:
-                raw = self._coords[seq]
-            except KeyError:
-                raise FixtureError(
-                    f"coordinate fixture has no entry for sequence {seq!r}"
-                ) from None
-            aligned, rmsd = self._frame.align(raw)
-            coords = aligned.ravel()
-        self.computations += 1
+            raw = np.stack([self._lookup(self._coords, "coordinate", s) for s in seqs])
+            aligned, rmsd = self._frame.align_many(raw)
+            coords = aligned.reshape(len(seqs), -1)
+        self.computations += len(seqs)
         return FeatureBundle(embedding=embedding, coords=coords, rmsd=rmsd)
+
+    @staticmethod
+    def _lookup(table: dict[str, np.ndarray], kind: str, seq: str) -> np.ndarray:
+        try:
+            return table[seq]
+        except KeyError:
+            raise FixtureError(f"{kind} fixture has no entry for sequence {seq!r}") from None

@@ -1,9 +1,11 @@
 """NSGA-II style multi-objective search over fixed-length sequence space.
 
 All objectives are maximized. The optimizer is deliberately generic: it knows
-nothing about GPs or likelihoods, only that `evaluate` maps a sequence to a
-fixed-length objective vector deterministically. Campaigns wire in whatever
-evaluator their method needs.
+nothing about GPs or likelihoods, only that `evaluate_many` maps a list of
+sequences to one fixed-length objective row each, deterministically. It is
+called once per generation with every new sequence at once, so a campaign can
+score a whole generation with one representation step and one posterior
+predict.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .sequences import ALPHABET, diff, validate_sequence
+from .sequences import ALPHABET, validate_sequence
 
 __all__ = [
     "GAConfig",
@@ -32,7 +34,8 @@ class GAConfig:
 
     `mutation_rate` of None means one expected substitution per child (1/L).
     `objective_set` is carried for campaign bookkeeping (it decides what the
-    evaluator computes); evolve() itself only checks the evaluator's output.
+    evaluator computes); evolve() itself only checks the evaluator's output
+    width.
     """
 
     population_size: int = 128
@@ -142,7 +145,7 @@ def _rank_population(objs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def evolve(
     parental: str,
-    evaluate: Callable[[str], np.ndarray],
+    evaluate_many: Callable[[list[str]], np.ndarray],
     config: GAConfig,
     *,
     exclude: Iterable[str] = (),
@@ -155,9 +158,15 @@ def evolve(
     ----------
     parental : str
         Anchor sequence; defines length and the mutation-count cap.
-    evaluate : callable
-        Deterministic, side-effect-free map from sequence to objective vector.
-        Called once per distinct sequence (results are cached).
+    evaluate_many : callable
+        Deterministic, side-effect-free map from a list of m sequences to an
+        (m, k) array of objective rows, k = 2 for "mean_std" and 3 for
+        "mean_std_likelihood". Called once for the initial population and
+        then at most once per generation, with that generation's offspring
+        that were never scored before, each once. Its rows are cached for the
+        rest of the run; this cache is the campaign's only evaluation cache.
+        A row of the wrong width or with a non-finite value is a ValueError
+        naming its sequence.
     config : GAConfig
     exclude : iterable of str
         Sequences never emitted in the final front (typically the training set).
@@ -185,18 +194,24 @@ def evolve(
     cache: dict[str, np.ndarray] = {}
     n_objectives = 2 if config.objective_set == "mean_std" else 3
 
-    def score(seq: str) -> np.ndarray:
-        if seq not in cache:
-            value = np.asarray(evaluate(seq), dtype=float).ravel()
-            if value.size != n_objectives:
+    def scored(batch: list[str]) -> np.ndarray:
+        """Objective rows of `batch`, evaluating its uncached sequences in one call."""
+        new = [seq for seq in dict.fromkeys(batch) if seq not in cache]
+        if new:
+            values = np.asarray(evaluate_many(new), dtype=float)
+            if values.shape != (len(new), n_objectives):
                 raise ValueError(
-                    f"evaluate returned {value.size} objectives but objective set "
-                    f"{config.objective_set!r} expects {n_objectives}"
+                    f"evaluate_many returned shape {values.shape} for the {len(new)} "
+                    f"sequences starting with {new[0]!r}, but objective set "
+                    f"{config.objective_set!r} needs ({len(new)}, {n_objectives})"
                 )
-            if not np.all(np.isfinite(value)):
-                raise ValueError(f"evaluate returned non-finite objectives for {seq!r}")
-            cache[seq] = value
-        return cache[seq]
+            bad = np.flatnonzero(~np.all(np.isfinite(values), axis=1))
+            if bad.size:
+                raise ValueError(
+                    f"evaluate_many returned non-finite objectives for {new[bad[0]]!r}"
+                )
+            cache.update(zip(new, values))
+        return np.stack([cache[seq] for seq in batch])
 
     def count_muts(seq: str) -> int:
         return sum(1 for a, b in zip(parental, seq) if a != b)
@@ -245,7 +260,7 @@ def evolve(
         population.append(candidate)
         seen.add(candidate)
 
-    objs = np.stack([score(s) for s in population])
+    objs = scored(population)
     history = [objs.max(axis=0)]
 
     for generation in range(config.generations):
@@ -282,7 +297,7 @@ def evolve(
         offspring = offspring[: config.population_size]
 
         union = population + offspring
-        union_objs = np.stack([score(s) for s in union])
+        union_objs = scored(union)
         union_ranks, union_crowd = _rank_population(union_objs)
         order = sorted(
             range(len(union)), key=lambda i: (union_ranks[i], -union_crowd[i], i)

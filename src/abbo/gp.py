@@ -26,7 +26,7 @@ from scipy.linalg import cho_solve, solve_triangular
 from scipy.optimize import minimize
 
 from .exceptions import NumericalError
-from .kernels import Kernel, TanimotoKernel, _Namespace
+from .kernels import Kernel, TanimotoKernel, _Namespace, _mutation_sets
 from .plm import PROB_FLOOR
 from .sequences import AA_INDEX, ALPHABET, MutationSet
 
@@ -174,9 +174,9 @@ class ZeroShotMean(_MeanBase):
         self._values = {"alpha": float(alpha), "beta": float(beta)}
 
     def scores(self, inputs) -> np.ndarray:
-        out = np.empty(len(inputs))
-        for i, item in enumerate(inputs):
-            mset = getattr(item, "mutations", None)
+        msets = _mutation_sets(inputs)
+        out = np.empty(len(msets))
+        for i, mset in enumerate(msets):
             if mset is None:
                 raise ValueError(
                     "zero-shot mean needs KernelInput objects carrying mutation sets"
@@ -359,7 +359,9 @@ class GPModel:
     def predict(self, query_inputs) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and standard deviation of the latent function.
 
-        Tiny negative variances from rounding are clamped to zero.
+        A query list or `KernelInputs` batch costs one kernel `prepare`, one
+        cross block and one triangular solve, whatever its size. Tiny
+        negative variances from rounding are clamped to zero.
         """
         prep_q = self.kernel.prepare(query_inputs)
         k_star = self.kernel.cross_prepared(self._prep, prep_q)

@@ -22,6 +22,7 @@ from .sequences import AA_INDEX, MutationSet
 
 __all__ = [
     "KernelInput",
+    "KernelInputs",
     "Kernel",
     "TanimotoKernel",
     "Matern52Kernel",
@@ -49,13 +50,49 @@ class KernelInput:
     mutations: MutationSet | None = None
 
 
+@dataclass(frozen=True)
+class KernelInputs:
+    """A batch of points as seen by kernels: each vector field stacked into
+    one (m, d) array, plus one mutation set (or None) per point.
+
+    Kernels read a stacked field as it is, with no per-point copy; indexing
+    or iterating yields the points as `KernelInput` rows.
+    """
+
+    vectors: Mapping[str, np.ndarray]
+    mutations: Sequence[MutationSet | None]
+
+    def __len__(self) -> int:
+        return len(self.mutations)
+
+    def __getitem__(self, i: int) -> KernelInput:
+        return KernelInput({name: rows[i] for name, rows in self.vectors.items()}, self.mutations[i])
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
+def _mutation_sets(inputs) -> list[MutationSet | None]:
+    """The mutation set of each point of a list or batch (None where a point has none)."""
+    if isinstance(inputs, KernelInputs):
+        return list(inputs.mutations)
+    return [getattr(item, "mutations", None) for item in inputs]
+
+
 def _stack(inputs, field_name: str | None) -> np.ndarray:
-    """Stack a list of inputs (or pass through a 2-D array) into an (n, d) matrix."""
+    """Stack a list of inputs (or pass through a 2-D array or a batch's
+    stacked field) into an (n, d) matrix."""
     if isinstance(inputs, np.ndarray):
         arr = np.asarray(inputs, dtype=float)
         if arr.ndim != 2:
             raise ValueError(f"expected a 2-D array of row vectors, got shape {arr.shape}")
         return arr
+    if isinstance(inputs, KernelInputs):
+        if field_name not in inputs.vectors:
+            raise ValueError(f"kernel input is missing vector field {field_name!r}")
+        if not len(inputs):
+            raise ValueError("empty input list")
+        return np.asarray(inputs.vectors[field_name], dtype=float)
     rows = []
     for item in inputs:
         if isinstance(item, KernelInput):
@@ -217,10 +254,13 @@ class TanimotoKernel(_VectorKernel):
         self.set_param("variance", variance)
 
     def _similarity(self, inner: np.ndarray, sq_a: np.ndarray, sq_b: np.ndarray) -> np.ndarray:
-        denom = sq_a[:, None] + sq_b[None, :] - inner
+        """inner / (|a|^2 + |b|^2 - inner), computed in place of `inner`."""
+        denom = sq_a[:, None] + sq_b[None, :]
+        denom -= inner
         if np.any(denom <= 0):
             raise ValueError("Tanimoto undefined: a pair of zero vectors was compared")
-        return inner / denom
+        inner /= denom
+        return inner
 
     def gram_grad_prepared(self, prep):
         inner = prep @ prep.T
@@ -232,7 +272,9 @@ class TanimotoKernel(_VectorKernel):
         inner = prep_a @ prep_b.T
         sq_a = np.einsum("ij,ij->i", prep_a, prep_a)
         sq_b = np.einsum("ij,ij->i", prep_b, prep_b)
-        return self._values["variance"] * self._similarity(inner, sq_a, sq_b)
+        k = self._similarity(inner, sq_a, sq_b)
+        k *= self._values["variance"]
+        return k
 
     def diag_prepared(self, prep) -> np.ndarray:
         sq = np.einsum("ij,ij->i", prep, prep)
@@ -440,14 +482,37 @@ def _hellinger_matrix(site_probs: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _KermutPrepared:
+    """A point list as mutation entries; each entry belongs to one point.
+
+    Cross and diagonal blocks work on the entries directly. Only the Gram of a
+    training list reads the dense blocks, which `KermutKernel._gram_blocks`
+    builds on first use and keeps here.
+    """
+
     seq_prep: object
     n: int
     positions: np.ndarray  # (E,) site index of every mutation entry
     sub_probs: np.ndarray  # (E,) context probability of each substituted residue
-    incidence: np.ndarray  # (n, E) 0/1 ownership matrix
-    hh: np.ndarray  # (E, E) Hellinger distances between entry sites
-    pp: np.ndarray  # (E, E) |p_i(a) - p_j(b)| between entry substitution probs
-    dd: np.ndarray  # (E, E) structural distances between entry sites
+    owners: np.ndarray  # (E,) index of the point each entry belongs to, nondecreasing
+    blocks: tuple[np.ndarray, ...] | None = None  # incidence (n, E), hh, pp, dd (E, E)
+
+
+# largest (E_a, E_b) entry block a cross evaluation holds at once, in elements
+_ENTRY_BLOCK = 1 << 13
+
+
+def _segment_sum(x: np.ndarray, owners: np.ndarray, n: int, axis: int) -> np.ndarray:
+    """Sum the entries of `x` along `axis` into their owners' n slots; an owner
+    with no entries gets 0. `owners` is nondecreasing."""
+    shape = list(x.shape)
+    shape[axis] = n
+    out = np.zeros(shape)
+    if owners.size:
+        starts = np.flatnonzero(np.r_[True, owners[1:] != owners[:-1]])
+        index = [slice(None)] * x.ndim
+        index[axis] = owners[starts]
+        out[tuple(index)] = np.add.reduceat(x, starts, axis=axis)
+    return out
 
 
 class KermutKernel(Kernel):
@@ -460,6 +525,12 @@ class KermutKernel(Kernel):
     the two sites' probability vectors, absolute difference of the substituted
     residues' probabilities, and structural distance between the sites. It is
     0 whenever either mutation set is empty.
+
+    The Gram of a training list (the fit) uses dense (E, E) entry blocks and
+    an incidence matrix, built once per prepared list. A query batch (the
+    posterior) stays in entry space: its cross block is the (E_a, E_b) entry
+    kernel summed over the owners of each entry, and its diagonal sums only
+    the entry pairs within each point.
     """
 
     _TRANSFORMS = {"mix": "logit"}
@@ -507,18 +578,17 @@ class KermutKernel(Kernel):
 
     # -- preparation
 
-    def _entries(self, inputs) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    def prepare(self, inputs) -> _KermutPrepared:
         positions: list[int] = []
-        sub_probs: list[float] = []
+        residues: list[int] = []
         owners: list[int] = []
-        n = 0
         parental: str | None = None
-        for i, item in enumerate(inputs):
-            if not isinstance(item, KernelInput) or item.mutations is None:
+        n = 0
+        for i, mset in enumerate(_mutation_sets(inputs)):
+            if mset is None:
                 raise ValueError(
                     "structure-aware kernel needs KernelInput objects with mutation sets"
                 )
-            mset = item.mutations
             if parental is None:
                 parental = mset.parental
                 if len(parental) != self.context.length:
@@ -530,29 +600,35 @@ class KermutKernel(Kernel):
                 raise ValueError("all mutation sets must share one parental sequence")
             for mut in mset.entries:
                 positions.append(mut.position)
-                sub_probs.append(
-                    self.context.site_probs[mut.position, AA_INDEX[mut.to_residue]]
-                )
+                residues.append(AA_INDEX[mut.to_residue])
                 owners.append(i)
             n = i + 1
         pos = np.asarray(positions, dtype=int)
-        probs = np.asarray(sub_probs, dtype=float)
-        incidence = np.zeros((n, len(positions)))
-        if len(positions):
-            incidence[np.asarray(owners, dtype=int), np.arange(len(positions))] = 1.0
-        return pos, probs, incidence, n
-
-    def prepare(self, inputs) -> _KermutPrepared:
-        pos, probs, incidence, n = self._entries(inputs)
         return _KermutPrepared(
             seq_prep=self.seq_kernel.prepare(inputs),
             n=n,
             positions=pos,
-            sub_probs=probs,
-            incidence=incidence,
-            hh=self._hmat[np.ix_(pos, pos)],
-            pp=np.abs(probs[:, None] - probs[None, :]),
-            dd=self.context.distances[np.ix_(pos, pos)],
+            sub_probs=self.context.site_probs[pos, np.asarray(residues, dtype=int)],
+            owners=np.asarray(owners, dtype=int),
+        )
+
+    def _gram_blocks(self, prep: _KermutPrepared) -> tuple[np.ndarray, ...]:
+        """The dense incidence and (E, E) entry blocks of a Gram, built once per prep."""
+        if prep.blocks is None:
+            pos, probs = prep.positions, prep.sub_probs
+            incidence = np.zeros((prep.n, pos.size))
+            incidence[prep.owners, np.arange(pos.size)] = 1.0
+            blocks = self._entry_distances(pos[:, None], probs[:, None], pos[None, :], probs[None, :])
+            prep.blocks = (incidence, *blocks)
+        return prep.blocks
+
+    def _entry_distances(self, pos_a, probs_a, pos_b, probs_b) -> tuple[np.ndarray, ...]:
+        """(hh, pp, dd) between entries a and b: a block when the arguments
+        broadcast to one, elementwise for 1-D arrays of one length."""
+        return (
+            self._hmat[pos_a, pos_b],
+            np.abs(probs_a - probs_b),
+            self.context.distances[pos_a, pos_b],
         )
 
     def _entry_kernel(self, hh, pp, dd) -> np.ndarray:
@@ -561,17 +637,17 @@ class KermutKernel(Kernel):
 
     def gram_grad_prepared(self, prep: _KermutPrepared):
         v = self._values
-        t = self._entry_kernel(prep.hh, prep.pp, prep.dd)
-        c = prep.incidence
+        c, hh, pp, dd = self._gram_blocks(prep)
+        t = self._entry_kernel(hh, pp, dd)
         k_struct = c @ t @ c.T
         k_seq, seq_grads = self.seq_kernel.gram_grad_prepared(prep.seq_prep)
         k = v["variance"] * (v["mix"] * k_struct + (1.0 - v["mix"]) * k_seq)
         grads = {
             "variance": v["mix"] * k_struct + (1.0 - v["mix"]) * k_seq,
             "mix": v["variance"] * (k_struct - k_seq),
-            "gamma_h": -v["variance"] * v["mix"] * (c @ (prep.hh * t) @ c.T),
-            "gamma_p": -v["variance"] * v["mix"] * (c @ (prep.pp * t) @ c.T),
-            "gamma_d": -v["variance"] * v["mix"] * (c @ (prep.dd * t) @ c.T),
+            "gamma_h": -v["variance"] * v["mix"] * (c @ (hh * t) @ c.T),
+            "gamma_p": -v["variance"] * v["mix"] * (c @ (pp * t) @ c.T),
+            "gamma_d": -v["variance"] * v["mix"] * (c @ (dd * t) @ c.T),
         }
         scale = v["variance"] * (1.0 - v["mix"])
         for name, dk in seq_grads.items():
@@ -579,19 +655,49 @@ class KermutKernel(Kernel):
         return k, grads
 
     def cross_prepared(self, prep_a: _KermutPrepared, prep_b: _KermutPrepared) -> np.ndarray:
+        """Cross block from the (E_a, E_b) entry kernel, segment-summed over
+        the owners of each side; no incidence matrix is built.
+
+        The points of b are taken in slabs whose entry block holds at most
+        about `_ENTRY_BLOCK` elements, so memory stays bounded for any batch.
+        """
         v = self._values
-        hh = self._hmat[np.ix_(prep_a.positions, prep_b.positions)]
-        pp = np.abs(prep_a.sub_probs[:, None] - prep_b.sub_probs[None, :])
-        dd = self.context.distances[np.ix_(prep_a.positions, prep_b.positions)]
-        t = self._entry_kernel(hh, pp, dd)
-        k_struct = prep_a.incidence @ t @ prep_b.incidence.T
+        pos_a, probs_a = prep_a.positions[:, None], prep_a.sub_probs[:, None]
+        counts = np.bincount(prep_b.owners, minlength=prep_b.n)
+        bounds = np.concatenate([[0], np.cumsum(counts)])  # point j owns bounds[j]:bounds[j + 1]
+        per_slab = max(1, _ENTRY_BLOCK // max(pos_a.size * counts.max(initial=1), 1))
+        k_struct = np.empty((prep_a.n, prep_b.n))
+        for j0 in range(0, prep_b.n, per_slab):
+            j1 = min(j0 + per_slab, prep_b.n)
+            e0, e1 = bounds[j0], bounds[j1]
+            t = self._entry_kernel(
+                *self._entry_distances(
+                    pos_a, probs_a, prep_b.positions[None, e0:e1], prep_b.sub_probs[None, e0:e1]
+                )
+            )
+            rows = _segment_sum(t, prep_a.owners, prep_a.n, axis=0)
+            k_struct[:, j0:j1] = _segment_sum(rows, prep_b.owners[e0:e1] - j0, j1 - j0, axis=1)
         k_seq = self.seq_kernel.cross_prepared(prep_a.seq_prep, prep_b.seq_prep)
         return v["variance"] * (v["mix"] * k_struct + (1.0 - v["mix"]) * k_seq)
 
     def diag_prepared(self, prep: _KermutPrepared) -> np.ndarray:
+        """Diagonal from the entry pairs within each point only."""
         v = self._values
-        t = self._entry_kernel(prep.hh, prep.pp, prep.dd)
-        struct_diag = np.einsum("ie,ef,if->i", prep.incidence, t, prep.incidence)
+        owners = prep.owners
+        counts = np.bincount(owners, minlength=prep.n)
+        first = np.cumsum(counts) - counts  # each point's first entry
+        # pair every entry e with each entry f of its owner: e repeats once
+        # per entry of its owner, and the k-th repeat pairs with f = first + k
+        reps = counts[owners]
+        e = np.repeat(np.arange(owners.size), reps)
+        k = np.arange(e.size) - np.repeat(np.cumsum(reps) - reps, reps)
+        f = first[owners[e]] + k
+        t = self._entry_kernel(
+            *self._entry_distances(
+                prep.positions[e], prep.sub_probs[e], prep.positions[f], prep.sub_probs[f]
+            )
+        )
+        struct_diag = np.bincount(owners[e], weights=t, minlength=prep.n)
         seq_diag = self.seq_kernel.diag_prepared(prep.seq_prep)
         return v["variance"] * (v["mix"] * struct_diag + (1.0 - v["mix"]) * seq_diag)
 

@@ -3,8 +3,9 @@
 Real masked language models are deliberately out of scope. Campaigns either
 load frozen tables from fixture files or synthesize a conservative
 position-specific scoring matrix from substitution-matrix similarity to the
-parental sequence. Both routes expose the same two queries: a pseudo-likelihood
-per sequence and a per-site log-probability table.
+parental sequence. Both routes expose the same queries: a pseudo-likelihood
+per sequence (`pseudo_likelihood`, or `pseudo_likelihoods` for a batch) and a
+per-site log-probability table.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import FixtureError
-from .sequences import AA_INDEX, ALPHABET, blosum62_matrix, validate_sequence
+from .sequences import AA_INDEX, ALPHABET, blosum62_matrix, residue_indices, validate_sequence
 
 __all__ = [
     "PROB_FLOOR",
@@ -66,12 +67,11 @@ class PssmLikelihoodProvider:
         return self.probs.shape[0]
 
     def pseudo_likelihood(self, seq: str) -> float:
-        validate_sequence(seq)
-        if len(seq) != self.length:
-            raise ValueError(
-                f"sequence length {len(seq)} does not match table length {self.length}"
-            )
-        idx = np.fromiter((AA_INDEX[c] for c in seq), dtype=int, count=len(seq))
+        return float(self.pseudo_likelihoods([seq])[0])
+
+    def pseudo_likelihoods(self, seqs) -> np.ndarray:
+        """Pseudo-likelihoods of a batch of sequences, from one (m, L) gather."""
+        idx = residue_indices(seqs, self.length)
         p = self.probs[np.arange(self.length), idx]
         n_floored = int(np.sum(p < PROB_FLOOR))
         if n_floored:
@@ -82,7 +82,7 @@ class PssmLikelihoodProvider:
                 stacklevel=2,
             )
         logp = np.log(np.maximum(p, PROB_FLOOR))
-        return float(np.exp(logp.mean()))
+        return np.exp(logp.mean(axis=1))
 
     def log_prob_table(self) -> np.ndarray:
         """(L, 20) table of floored log-probabilities."""
@@ -116,6 +116,10 @@ class TableLikelihoodProvider:
             raise FixtureError(
                 f"no fixture likelihood for sequence {seq!r}"
             ) from None
+
+    def pseudo_likelihoods(self, seqs) -> np.ndarray:
+        """Pseudo-likelihoods of a batch of sequences, one lookup each."""
+        return np.array([self.pseudo_likelihood(seq) for seq in seqs], dtype=float)
 
     def log_prob_table(self) -> np.ndarray:
         if self._pssm is None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 
@@ -19,6 +19,7 @@ __all__ = [
     "ALPHABET",
     "AA_INDEX",
     "validate_sequence",
+    "residue_indices",
     "Mutation",
     "MutationSet",
     "diff",
@@ -35,6 +36,10 @@ __all__ = [
 ALPHABET = "ACDEFGHIKLMNPQRSTVWY"
 AA_INDEX = {aa: i for i, aa in enumerate(ALPHABET)}
 
+# byte value -> alphabet index, -1 for every byte that is not a canonical residue
+_BYTE_INDEX = np.full(256, -1, dtype=np.intp)
+_BYTE_INDEX[np.frombuffer(ALPHABET.encode("ascii"), dtype=np.uint8)] = np.arange(len(ALPHABET))
+
 
 def validate_sequence(seq: str) -> str:
     """Return `seq` unchanged if every residue is canonical, else raise ValueError."""
@@ -44,6 +49,30 @@ def validate_sequence(seq: str) -> str:
         if ch not in AA_INDEX:
             raise ValueError(f"non-canonical residue {ch!r} at position {pos}")
     return seq
+
+
+def residue_indices(seqs: Sequence[str], length: int) -> np.ndarray:
+    """(m, length) alphabet indices of a batch of sequences, checked in one pass.
+
+    Raises what `validate_sequence` raises for the first sequence that is not
+    a canonical string, and a ValueError naming the first sequence whose
+    length is not `length`.
+    """
+    seqs = list(seqs)
+    for seq in seqs:
+        if not isinstance(seq, str):
+            validate_sequence(seq)
+        if len(seq) != length:
+            raise ValueError(f"sequence {seq!r} has length {len(seq)}, expected {length}")
+    try:
+        codes = np.frombuffer("".join(seqs).encode("ascii"), dtype=np.uint8)
+    except UnicodeEncodeError:
+        codes = None
+    idx = None if codes is None else _BYTE_INDEX[codes]
+    if idx is None or np.any(idx < 0):
+        for seq in seqs:
+            validate_sequence(seq)
+    return idx.reshape(len(seqs), length)
 
 
 @dataclass(frozen=True)
@@ -163,6 +192,11 @@ class EncodingMatrix:
     @property
     def dim(self) -> int:
         return len(next(iter(self.rows.values())))
+
+    def table(self) -> np.ndarray:
+        """(20, dim) float rows in alphabet order: `table()[residue_indices(...)]`
+        gathers whole encodings at once."""
+        return np.stack([np.asarray(self.rows[aa], dtype=float) for aa in ALPHABET])
 
     def row(self, residue: str) -> np.ndarray:
         if residue not in self.rows:

@@ -107,6 +107,15 @@ def central_difference(f, x: float, h: float) -> float:
 # multi-objective brute force
 
 
+def batched(evaluate):
+    """A per-sequence objective function as the batch scorer `evolve` takes."""
+
+    def evaluate_many(seqs: list[str]) -> np.ndarray:
+        return np.array([evaluate(seq) for seq in seqs])
+
+    return evaluate_many
+
+
 def dominates(a: np.ndarray, b: np.ndarray) -> bool:
     """Maximization dominance: a is at least as good everywhere, better somewhere."""
     return bool(np.all(a >= b) and np.any(a > b))

@@ -53,6 +53,7 @@ from abbo.plm import concentrated_pssm, substitution_softmax_pssm
 from abbo.sequences import AA_INDEX, blosum62_matrix, diff, encode, one_hot_matrix
 
 from conftest import (
+    batched,
     brute_force_fronts,
     central_difference,
     mutant_inputs,
@@ -339,7 +340,7 @@ def test_sorting_matches_brute_force_and_elitism_monotone(rng):
     for seed in range(5):
         result = evolve(
             PARENTAL,
-            score,
+            batched(score),
             GAConfig(population_size=24, generations=12, seed=seed),
         )
         if np.any(np.diff(result.history, axis=0) < 0):

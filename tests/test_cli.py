@@ -216,6 +216,24 @@ def test_non_numeric_table_value_is_fixture_error(tmp_path, capsys, command, tab
 
 
 @pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_oracle_label_fails_before_round_one(tmp_path, capsys, command, bad):
+    pool = _assemble(CampaignConfig.from_yaml(write_config(tmp_path / "synthetic.yaml"))).pool
+    bad_seq = pool[4]
+    table = tmp_path / "oracle.csv"
+    table.write_text(
+        "sequence,value\n"
+        + "".join(f"{seq},{bad if seq == bad_seq else 0.1 * i}\n" for i, seq in enumerate(pool))
+    )
+    config = write_config(tmp_path / "config.yaml", oracle={"kind": "fixture", "table": str(table)})
+    code, message = run_or_validate(command, config, tmp_path / "x", capsys)
+    assert code == (EXIT_FIXTURE if command == "run" else EXIT_VIOLATIONS)
+    assert bad_seq in message
+    assert "oracle fixture label" in message
+    assert not (tmp_path / "x" / "rounds.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
 @pytest.mark.parametrize("bad", ["abc", "nan", "inf"])
 @pytest.mark.parametrize("kind", ["embedding", "coords"])
 def test_malformed_feature_fixture_is_fixture_error(tmp_path, capsys, command, bad, kind):

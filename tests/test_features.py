@@ -85,18 +85,18 @@ def test_prepared_reference_aligns_bitwise_like_kabsch(rng):
         mobile = rng.standard_normal((n, 3)) + rng.standard_normal(3) * 10.0
         frame = _Frame(ref, "reference")
         for _ in range(3):  # the frame is reused, never changed by an alignment
-            aligned, rmsd = frame.align(mobile)
+            aligned, rmsd = frame.align_many(mobile[None])
             expected, expected_rmsd = kabsch_align(mobile, ref)
-            assert np.array_equal(aligned, expected)
-            assert rmsd == expected_rmsd
+            assert np.array_equal(aligned[0], expected)
+            assert rmsd[0] == expected_rmsd
 
 
 def test_prepared_reference_keeps_every_check_on_mobile():
     frame = _Frame(np.random.default_rng(0).standard_normal((5, 3)), "reference")
     with pytest.raises(ValueError, match="mobile points are collinear"):
-        frame.align(np.stack([np.arange(5.0)] * 3, axis=1))
+        frame.align_many(np.stack([np.arange(5.0)] * 3, axis=1)[None])
     with pytest.raises(ValueError, match="shape mismatch"):
-        frame.align(np.zeros((4, 3)))
+        frame.align_many(np.zeros((1, 4, 3)))
     with pytest.raises(ValueError, match="at least 3 points"):
         _Frame(np.zeros((2, 3)), "reference")
     with pytest.raises(ValueError, match="reference points are collinear"):
@@ -245,6 +245,35 @@ class TestSyntheticFeatures:
         assert retained < 64 * 1024
         assert provider.computations == 501
 
+    def test_batch_build_equals_one_sequence_builds(self, rng):
+        # one stacked build per batch; every row bit-equal to building its
+        # sequence alone, whatever else is in the batch
+        provider = SyntheticFeatureProvider(PARENTAL, seed=2, embedding_dim=16)
+        seqs = [PARENTAL] + self.mutants(rng, 30)
+        seqs.append(seqs[4])
+        batch = provider.features_many(seqs)
+        assert batch.coords.shape == (len(seqs), 3 * len(PARENTAL))
+        assert provider.computations == len(seqs)
+        for i, seq in enumerate(seqs):
+            one = provider.features(seq)
+            assert np.array_equal(batch.embedding[i], one.embedding)
+            assert np.array_equal(batch.coords[i], one.coords)
+            assert batch.rmsd[i] == one.rmsd
+        part = provider.features_many(seqs[5:9])
+        assert np.array_equal(part.coords, batch.coords[5:9])
+
+    def test_stacked_alignment_checks_every_member(self):
+        frame = _Frame(np.random.default_rng(0).standard_normal((5, 3)), "reference")
+        good = np.random.default_rng(1).standard_normal((5, 3))
+        line = np.stack([np.arange(5.0)] * 3, axis=1)
+        with pytest.raises(ValueError, match="mobile points are collinear"):
+            frame.align_many(np.stack([good, line, good]))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            frame.align_many(np.zeros((2, 4, 3)))
+        aligned, rmsd = frame.align_many(np.stack([good, good]))
+        assert np.array_equal(aligned[0], aligned[1])
+        assert rmsd.shape == (2,)
+
     def test_rmsd_is_that_of_the_aligned_coords(self, rng):
         provider = SyntheticFeatureProvider(PARENTAL, seed=3)
         for seq in self.mutants(rng, 100):
@@ -308,6 +337,8 @@ class TestFixtureProviders:
         provider = FixtureFeatureProvider("ACD", embedding_path=emb)
         with pytest.raises(FixtureError, match="ACY"):
             provider.features("ACY")
+        with pytest.raises(FixtureError, match="ACY"):
+            provider.features_many(["ACD", "ACY"])
 
     @pytest.mark.parametrize("bad", ["abc", "nan", "inf", "-inf"])
     @pytest.mark.parametrize("loader", [load_embedding_fixture, load_coords_fixture])

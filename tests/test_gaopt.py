@@ -4,7 +4,7 @@ import pytest
 from abbo.gaopt import GAConfig, crowding_distance, evolve, non_dominated_sort
 from abbo.sequences import ALPHABET, diff
 
-from conftest import brute_force_fronts
+from conftest import batched, brute_force_fronts
 
 PARENTAL = "MKTAYIAKQRQISFVKSH"
 
@@ -101,7 +101,7 @@ def _additive_objective(parental):
 
 def test_evolve_improves_and_history_is_monotone(rng):
     config = GAConfig(population_size=32, generations=20, seed=7)
-    result = evolve(PARENTAL, _additive_objective(PARENTAL), config)
+    result = evolve(PARENTAL, batched(_additive_objective(PARENTAL)), config)
     history = result.history
     assert history.shape == (21, 2)
     # elitism: the per-objective best can never regress
@@ -111,17 +111,17 @@ def test_evolve_improves_and_history_is_monotone(rng):
 
 def test_evolve_is_deterministic(rng):
     config = GAConfig(population_size=16, generations=8, seed=3)
-    a = evolve(PARENTAL, _additive_objective(PARENTAL), config)
-    b = evolve(PARENTAL, _additive_objective(PARENTAL), config)
+    a = evolve(PARENTAL, batched(_additive_objective(PARENTAL)), config)
+    b = evolve(PARENTAL, batched(_additive_objective(PARENTAL)), config)
     assert [s for s, _ in a.front] == [s for s, _ in b.front]
     assert np.array_equal(a.history, b.history)
-    c = evolve(PARENTAL, _additive_objective(PARENTAL), GAConfig(16, 8, seed=4))
+    c = evolve(PARENTAL, batched(_additive_objective(PARENTAL)), GAConfig(16, 8, seed=4))
     assert not np.array_equal(a.history, c.history)
 
 
 def test_front_is_mutually_non_dominating(rng):
     config = GAConfig(population_size=24, generations=10, seed=5)
-    result = evolve(PARENTAL, _additive_objective(PARENTAL), config)
+    result = evolve(PARENTAL, batched(_additive_objective(PARENTAL)), config)
     objs = np.stack([o for _, o in result.front])
     fronts = non_dominated_sort(objs)
     assert len(fronts) == 1
@@ -129,9 +129,9 @@ def test_front_is_mutually_non_dominating(rng):
 
 def test_exclude_is_respected(rng):
     config = GAConfig(population_size=16, generations=6, seed=1)
-    first = evolve(PARENTAL, _additive_objective(PARENTAL), config)
+    first = evolve(PARENTAL, batched(_additive_objective(PARENTAL)), config)
     seen = {s for s, _ in first.front}
-    second = evolve(PARENTAL, _additive_objective(PARENTAL), config, exclude=seen)
+    second = evolve(PARENTAL, batched(_additive_objective(PARENTAL)), config, exclude=seen)
     assert not seen & {s for s, _ in second.front}
 
 
@@ -140,20 +140,20 @@ def test_seed_sequences_join_the_initial_population(rng):
     # recorded best
     good = "W" * len(PARENTAL)
     config = GAConfig(population_size=16, generations=1, seed=2)
-    seeded = evolve(PARENTAL, _additive_objective(PARENTAL), config, seed_sequences=[good])
+    seeded = evolve(PARENTAL, batched(_additive_objective(PARENTAL)), config, seed_sequences=[good])
     assert seeded.history[0, 0] == pytest.approx(len(PARENTAL))
 
 
 def test_max_mutations_cap_enforced(rng):
     config = GAConfig(population_size=16, generations=10, seed=6, max_mutations=2)
-    result = evolve(PARENTAL, _additive_objective(PARENTAL), config)
+    result = evolve(PARENTAL, batched(_additive_objective(PARENTAL)), config)
     for seq, _ in result.front:
         assert len(diff(PARENTAL, seq).entries) <= 2
 
 
 def test_front_and_ranked_are_unique(rng):
     config = GAConfig(population_size=16, generations=5, seed=9)
-    result = evolve(PARENTAL, _additive_objective(PARENTAL), config)
+    result = evolve(PARENTAL, batched(_additive_objective(PARENTAL)), config)
     front_seqs = [s for s, _ in result.front]
     ranked_seqs = [s for s, _, _, _ in result.ranked]
     assert len(front_seqs) == len(set(front_seqs))
@@ -171,7 +171,7 @@ def test_objective_arity_checked(rng):
         return np.zeros(3)
 
     with pytest.raises(ValueError):
-        evolve(PARENTAL, three_objectives, config)
+        evolve(PARENTAL, batched(three_objectives), config)
 
 
 def test_nonfinite_objective_rejected(rng):
@@ -181,7 +181,7 @@ def test_nonfinite_objective_rejected(rng):
         return np.array([np.nan, 0.0])
 
     with pytest.raises(ValueError):
-        evolve(PARENTAL, bad, config)
+        evolve(PARENTAL, batched(bad), config)
 
 
 def test_front_writer_called_per_generation(rng):
@@ -191,6 +191,60 @@ def test_front_writer_called_per_generation(rng):
         calls.append((generation, len(seqs), objs.shape[1]))
 
     config = GAConfig(population_size=16, generations=4, seed=11)
-    evolve(PARENTAL, _additive_objective(PARENTAL), config, front_writer=writer)
+    evolve(PARENTAL, batched(_additive_objective(PARENTAL)), config, front_writer=writer)
     assert [c[0] for c in calls] == [0, 1, 2, 3]
     assert all(c[2] == 2 for c in calls)
+
+
+# ---------------------------------------------------------------------------
+# the batch evaluator contract
+
+
+def test_evaluate_many_is_called_once_per_generation_with_new_sequences_only():
+    calls: list[list[str]] = []
+    additive = _additive_objective(PARENTAL)
+
+    def evaluate_many(seqs):
+        calls.append(list(seqs))
+        return np.array([additive(s) for s in seqs])
+
+    config = GAConfig(population_size=16, generations=12, seed=5, mutation_rate=0.02)
+    result = evolve(PARENTAL, evaluate_many, config, seed_sequences=[PARENTAL])
+    assert 2 <= len(calls) <= config.generations + 1
+    received = [seq for batch in calls for seq in batch]
+    # no sequence is asked for twice, within one call or across calls
+    assert len(received) == len(set(received))
+    assert result.evaluations == len(received)
+
+
+@pytest.mark.parametrize(
+    "reshape",
+    [
+        pytest.param(lambda rows: rows[:, :1], id="too-few-objectives"),
+        pytest.param(lambda rows: np.hstack([rows, rows]), id="too-many-objectives"),
+        pytest.param(lambda rows: rows[:-1], id="too-few-rows"),
+        pytest.param(lambda rows: rows.ravel(), id="flat"),
+    ],
+)
+def test_wrong_batch_shape_names_a_sequence(reshape):
+    additive = batched(_additive_objective(PARENTAL))
+    config = GAConfig(population_size=8, generations=2, seed=1)
+    with pytest.raises(ValueError, match=PARENTAL):
+        evolve(PARENTAL, lambda seqs: reshape(additive(seqs)), config)
+
+
+def test_non_finite_row_names_its_sequence():
+    additive = _additive_objective(PARENTAL)
+    bad: list[str] = []
+
+    def evaluate_many(seqs):
+        rows = np.array([additive(s) for s in seqs])
+        if len(seqs) > 3 and not bad:  # spoil one row of the first batch
+            bad.append(seqs[3])
+            rows[3, 1] = np.inf
+        return rows
+
+    config = GAConfig(population_size=8, generations=2, seed=1)
+    with pytest.raises(ValueError, match="non-finite") as err:
+        evolve(PARENTAL, evaluate_many, config)
+    assert repr(bad[0]) in str(err.value)

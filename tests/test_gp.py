@@ -369,3 +369,83 @@ def test_zero_shot_score_floors_missing_probabilities():
         value = zero_shot_score(table, ms)
     assert np.isfinite(value)
     assert any("floor" in str(w.message).lower() for w in caught)
+
+
+# ---------------------------------------------------------------------------
+# batch scoring against a one-row reference
+
+
+# A batch predict reorders floating-point sums, so it matches predicting each
+# row alone only to rounding: within this factor of the column's largest
+# absolute value. The fixture GP's noise is held at 1e-2, so the comparison
+# measures summation order, not the conditioning of a near-interpolating fit.
+BATCH_TOL = 1e-10
+
+
+def _one_row_input(asm, seq: str):
+    """A sequence's kernel input built from the one-sequence primitives."""
+    from abbo.kernels import KernelInput
+    from abbo.sequences import blosum62_matrix, encode
+
+    fields = asm.representer.fields
+    vectors = {}
+    if "onehot" in fields:
+        vectors["onehot"] = encode(seq, one_hot_matrix())
+    if "blosum" in fields:
+        vectors["blosum"] = encode(seq, blosum62_matrix())
+    if fields & {"embedding", "coords", "embedding_coords"}:
+        bundle = asm.providers.features.features(seq)
+        if "embedding" in fields:
+            vectors["embedding"] = bundle.embedding
+        if "coords" in fields:
+            vectors["coords"] = bundle.coords
+        if "embedding_coords" in fields:
+            vectors["embedding_coords"] = np.concatenate([bundle.embedding, bundle.coords])
+    return KernelInput(vectors=vectors, mutations=diff(PARENTAL, seq))
+
+
+@pytest.mark.parametrize(
+    "method", ["OneHot-T", "BLO-T", "ESM-M", "IgFold-BLO-T", "Kermut-T", "C-OneHot-T", "C-Kermut-T"]
+)
+def test_batch_objectives_match_one_row_reference(method, rng):
+    from abbo.campaign import (
+        CampaignConfig,
+        ProtocolConfig,
+        _assemble,
+        _batch_objectives,
+        _initial_dataset,
+    )
+
+    from conftest import random_mutants
+
+    config = CampaignConfig(
+        parental=PARENTAL,
+        method=method,
+        seed=5,
+        protocol=ProtocolConfig(
+            initial_pool_size=60, initial_sample_size=30, rounds=1, batch_size=8, drop_count=2
+        ),
+    )
+    asm = _assemble(config)
+    data = _initial_dataset(asm, config.seed)
+    model = fit_gp(data, asm.kernel, asm.mean, noise=1e-2, fit_noise=False, restarts=1, seed=0)
+    assert model.noise == 1e-2
+    # the parental (no mutations), training sequences, new designs of up to
+    # four sites, and one sequence twice
+    candidates = [PARENTAL, *data.sequences[:5], *random_mutants(rng, PARENTAL, 40, 4)]
+    candidates.append(candidates[7])
+
+    batch = _batch_objectives(asm, model)(candidates)
+    assert batch.shape == (len(candidates), 3 if method.startswith("C-") else 2)
+    rows = []
+    for seq in candidates:
+        mean, std = model.predict([_one_row_input(asm, seq)])
+        row = [mean[0], std[0]]
+        if method.startswith("C-"):
+            row.append(asm.providers.constraint.pseudo_likelihood(seq))
+        rows.append(row)
+    rows = np.array(rows)
+
+    worst = np.max(np.abs(batch - rows), axis=0) / np.max(np.abs(rows), axis=0)
+    print(f"{method}: worst |batch - row| / max |column| = {worst}")
+    assert np.all(worst <= BATCH_TOL), worst

@@ -5,6 +5,7 @@ from abbo.features import synthetic_structure_context
 from abbo.kernels import (
     KermutKernel,
     KernelInput,
+    KernelInputs,
     Matern52Kernel,
     ProductKernel,
     SquaredExponentialKernel,
@@ -227,6 +228,37 @@ def test_kermut_diag_and_cross_consistent(kermut):
     gram = kernel.gram(inputs)
     assert np.allclose(kernel.diag(inputs), np.diag(gram))
     assert np.allclose(kernel.cross(inputs, inputs[:3]), gram[:, :3])
+
+
+@pytest.mark.parametrize("block", [None, 1])
+def test_kermut_entry_space_cross_and_diag_match_double_sum(kermut, rng, monkeypatch, block):
+    # a query batch goes through the entry-space cross and diagonal; with
+    # block 1 the cross takes the batch one point per slab
+    if block is not None:
+        monkeypatch.setattr("abbo.kernels._ENTRY_BLOCK", block)
+    kernel, context, train = kermut
+    _, extra = mutant_inputs(rng, PARENTAL, 7, encoding=one_hot_matrix())
+    # the parental (no mutations), two training points, new designs, one twice
+    rows = [train[0], train[3], train[5], *extra[1:], extra[2]]
+    query = KernelInputs(
+        {"onehot": np.stack([r.vectors["onehot"] for r in rows])}, [r.mutations for r in rows]
+    )
+    prep_q = kernel.prepare(query)
+    cross = kernel.cross_prepared(kernel.prepare(train), prep_q)
+    diag = kernel.diag_prepared(prep_q)
+    assert prep_q.blocks is None  # no dense incidence or (E, E) block for the queries
+    params = kernel.params()
+    var, mix = params["variance"], params["mix"]
+    gammas = {name: params[name] for name in ("gamma_h", "gamma_p", "gamma_d")}
+
+    def expected(a, b):
+        struct = kermut_struct(a.mutations, b.mutations, context, **gammas)
+        seq = tanimoto(a.vectors["onehot"], b.vectors["onehot"])
+        return var * (mix * struct + (1.0 - mix) * seq)
+
+    worst = max(abs(cross[i, j] - expected(a, b)) for i, a in enumerate(train) for j, b in enumerate(rows))
+    worst = max([worst] + [abs(diag[j] - expected(b, b)) for j, b in enumerate(rows)])
+    assert worst <= 1e-12, worst
 
 
 def test_kermut_parental_row_uses_sequence_kernel_only(kermut):

@@ -42,8 +42,8 @@ GOLDEN = {
     "BLO-T": "3b0c25755b8459c1",
     "ESM-M": "632319b3d91e3103",
     "IgFold-BLO-T": "0b3b6af63e6273ca",
-    "Kermut-T": "5f0a8922153ad13f",
-    "C-OneHot-T": "5a362a06e460bb05",
+    "Kermut-T": "6ac80b2c9437e053",
+    "C-OneHot-T": "9a5cbe89e7212de5",
     "Random": "36d7a5bc543d6ceb",
 }
 

@@ -12,6 +12,7 @@ from abbo.sequences import (
     encode,
     mutate,
     one_hot_matrix,
+    residue_indices,
     validate_sequence,
 )
 
@@ -123,3 +124,28 @@ def test_blosum_encoding_rows_match_matrix():
 
 def test_encode_empty_sequence_gives_empty_vector():
     assert encode("", one_hot_matrix()).shape == (0,)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.text(alphabet=ALPHABET, min_size=7, max_size=7), min_size=1, max_size=10))
+def test_residue_indices_gather_equals_encode(seqs):
+    idx = residue_indices(seqs, 7)
+    assert idx.shape == (len(seqs), 7)
+    for encoding in (one_hot_matrix(), blosum62_matrix()):
+        rows = encoding.table()[idx].reshape(len(seqs), -1)
+        for seq, row in zip(seqs, rows):
+            assert np.array_equal(row, encode(seq, encoding))
+
+
+@pytest.mark.parametrize(
+    "seqs, error, match",
+    [
+        (["ACD", "AXD"], ValueError, "non-canonical residue 'X' at position 1"),
+        (["ACD", "ACé"], ValueError, "non-canonical residue 'é' at position 2"),
+        (["ACD", "ACDE"], ValueError, "'ACDE' has length 4, expected 3"),
+        (["ACD", 7], TypeError, "must be a string"),
+    ],
+)
+def test_residue_indices_reject_bad_batches(seqs, error, match):
+    with pytest.raises(error, match=match):
+        residue_indices(seqs, 3)
