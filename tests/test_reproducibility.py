@@ -37,7 +37,8 @@ PARENTAL = "EVQLVESGGGLVQPGGSLRLSCAASGFTFSSYAMSWVRQAPGK"
 
 # One campaign per method family: one-hot/BLOSUM Tanimoto, Matern on
 # embeddings, the coordinate-Matern plus Tanimoto sum, Kermut, a constrained
-# variant and the random baseline.
+# variant and the random baseline; then constrained Kermut on BLOSUM and
+# Kermut under a constant mean.
 GOLDEN = {
     "BLO-T": "3b0c25755b8459c1",
     "ESM-M": "632319b3d91e3103",
@@ -45,6 +46,8 @@ GOLDEN = {
     "Kermut-T": "6ac80b2c9437e053",
     "C-OneHot-T": "9a5cbe89e7212de5",
     "Random": "36d7a5bc543d6ceb",
+    "C-Kermut-BLO-T": "48a337f7059ae10f",
+    "Const-Kermut-T": "88f6f9258f834f87",
 }
 
 
