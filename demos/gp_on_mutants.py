@@ -14,15 +14,14 @@ from abbo import (
     ConstantMean,
     Dataset,
     KermutKernel,
-    KernelInput,
+    KernelInputs,
     SyntheticOracle,
     TanimotoKernel,
     ZeroShotMean,
-    diff,
-    encode,
     fit_gp,
     mutate,
     one_hot_matrix,
+    residue_indices,
     substitution_softmax_pssm,
     synthetic_structure_context,
 )
@@ -50,13 +49,11 @@ def random_mutants(rng, n, hot_sites):
 
 
 def to_inputs(seqs, onehot):
-    return tuple(
-        KernelInput(
-            vectors={"onehot": encode(seq, onehot)},
-            mutations=diff(PARENTAL, seq),
-        )
-        for seq in seqs
-    )
+    """One batch: one-hot rows for the Tanimoto kernel, and the residue
+    indices from which Kermut and the zero-shot mean read the mutations."""
+    idx = residue_indices(seqs, len(PARENTAL))
+    rows = onehot.table()[idx].reshape(len(seqs), -1)
+    return KernelInputs({"onehot": rows}, idx, PARENTAL)
 
 
 def main():
@@ -87,7 +84,7 @@ def main():
         ),
     }
 
-    held_inputs = list(to_inputs(held_seqs, onehot))
+    held_inputs = to_inputs(held_seqs, onehot)
     for name, model in models.items():
         mean, std = model.predict(held_inputs)
         rmse = float(np.sqrt(np.mean((mean - held_y) ** 2)))

@@ -51,7 +51,6 @@ from .gp import (
 from .kernels import (
     KermutKernel,
     Kernel,
-    KernelInput,
     KernelInputs,
     Matern52Kernel,
     ProductKernel,
@@ -74,6 +73,7 @@ from .sequences import (
     encode,
     mutate,
     one_hot_matrix,
+    residue_indices,
     validate_sequence,
 )
 
@@ -86,6 +86,7 @@ __all__ = [
     "Mutation",
     "MutationSet",
     "validate_sequence",
+    "residue_indices",
     "diff",
     "mutate",
     "encode",
@@ -101,7 +102,6 @@ __all__ = [
     "pairwise_distances",
     # kernels
     "Kernel",
-    "KernelInput",
     "KernelInputs",
     "TanimotoKernel",
     "Matern52Kernel",

@@ -41,6 +41,7 @@ from .kernels import (
     TanimotoKernel,
 )
 from .plm import (
+    PROB_FLOOR,
     PssmLikelihoodProvider,
     TableLikelihoodProvider,
     load_likelihood_table,
@@ -50,7 +51,6 @@ from .plm import (
 from .sequences import (
     ALPHABET,
     blosum62_matrix,
-    diff,
     one_hot_matrix,
     residue_indices,
     validate_sequence,
@@ -640,7 +640,7 @@ def _build_providers(config: CampaignConfig, spec: MethodSpec) -> _Providers:
             probs = substitution_softmax_pssm(parental)
         else:
             probs = load_pssm(prov.zero_shot_pssm_path)
-        zero_shot = np.log(np.maximum(probs, 1e-12))
+        zero_shot = np.log(np.maximum(probs, PROB_FLOOR))
 
     return _Providers(features, context, constraint, zero_shot)
 
@@ -718,12 +718,12 @@ class _Representation:
 
 
 class _Representer:
-    """Sequences -> KernelInputs with exactly the vector fields and mutation
-    sets a method reads, a whole batch at a time.
+    """Sequences -> KernelInputs with exactly the vector fields a method
+    reads, a whole batch at a time.
 
-    A batch is checked once, as an (m, L) residue-index array; one-hot and
-    BLOSUM rows are gathered from it, and a method that reads embeddings or
-    coordinates gets them from one `features_many` call.
+    A batch is checked once, as the (m, L) residue-index array it carries;
+    one-hot and BLOSUM rows are gathered from it, and a method that reads
+    embeddings or coordinates gets them from one `features_many` call.
     """
 
     def __init__(
@@ -731,12 +731,10 @@ class _Representer:
         parental: str,
         fields: set[str],
         features: SyntheticFeatureProvider | FixtureFeatureProvider | None,
-        with_mutations: bool,
     ):
         self.parental = parental
         self.fields = fields
         self.features = features
-        self.with_mutations = with_mutations
         encodings = {"onehot": one_hot_matrix, "blosum": blosum62_matrix}
         self._tables = {name: encodings[name]().table() for name in encodings if name in fields}
 
@@ -769,9 +767,9 @@ class _Representer:
                     "feature provider must supply both embeddings and coordinates"
                 )
             vectors["embedding_coords"] = np.concatenate([bundle.embedding, bundle.coords], axis=1)
-        mutations = [diff(self.parental, s) for s in seqs] if self.with_mutations else [None] * m
         return _Representation(
-            KernelInputs(vectors, mutations), None if bundle is None or not rmsd else bundle.rmsd
+            KernelInputs(vectors, idx, self.parental),
+            None if bundle is None or not rmsd else bundle.rmsd,
         )
 
 
@@ -814,13 +812,7 @@ def _assemble(config: CampaignConfig) -> _Assembly:
         providers=providers,
         kernel=_build_kernel(spec, providers, config),
         mean=_build_mean(spec, providers, config),
-        representer=_Representer(
-            config.parental,
-            _fields_for(spec),
-            providers.features,
-            # only Kermut kernels and zero-shot means read mutation sets
-            with_mutations=spec.kernel_kind == "kermut" or spec.mean_kind == "zero-shot",
-        ),
+        representer=_Representer(config.parental, _fields_for(spec), providers.features),
         pool=generate_pool(
             config.parental,
             config.protocol.initial_pool_size,
@@ -837,7 +829,7 @@ def _initial_dataset(asm: _Assembly, repeat_seed: int) -> Dataset:
     )
     initial = [asm.pool[i] for i in picks]
     y0 = [asm.oracle.value(s) for s in initial]
-    return Dataset(initial, list(asm.representer.represent(initial).inputs), y0)
+    return Dataset(initial, asm.representer.represent(initial).inputs, y0)
 
 
 # ---------------------------------------------------------------------------
@@ -1126,7 +1118,7 @@ def _run_round(
     kept_pos = [pos for pos, rec in enumerate(sel_records) if not rec.dropped]
     dataset = dataset.extended(
         [acquired_seqs[pos] for pos in kept_pos],
-        [acquired.inputs[pos] for pos in kept_pos],
+        acquired.inputs[kept_pos],
         [sel_records[pos].oracle_value for pos in kept_pos],
     )
 

@@ -26,7 +26,7 @@ from scipy.linalg import cho_solve, solve_triangular
 from scipy.optimize import minimize
 
 from .exceptions import NumericalError
-from .kernels import Kernel, TanimotoKernel, _Namespace, _mutation_sets
+from .kernels import Kernel, KernelInputs, TanimotoKernel, _Namespace
 from .plm import PROB_FLOOR
 from .sequences import AA_INDEX, ALPHABET, MutationSet
 
@@ -119,7 +119,7 @@ class _MeanBase(_Namespace):
     transform and bounds of +-1e6 for every coefficient.
 
     Like kernels, a mean splits into `prepare` (whatever does not depend on
-    the parameters, computed once per point list) and the `*_prepared`
+    the parameters, computed once per batch) and the `*_prepared`
     evaluations that the fit repeats.
     """
 
@@ -146,7 +146,7 @@ class ConstantMean(_MeanBase):
         self._values = {"beta": float(beta)}
 
     def prepare(self, inputs) -> int:
-        return inputs.shape[0] if isinstance(inputs, np.ndarray) else len(inputs)
+        return len(inputs)
 
     def values_prepared(self, n: int) -> np.ndarray:
         return np.full(n, self._values["beta"])
@@ -160,8 +160,8 @@ class ZeroShotMean(_MeanBase):
 
     f0 treats sites independently, so it is a plain sum over the variant's
     mutations against the stored per-site log-probability table. The scores
-    do not depend on alpha or beta, so `prepare` computes them once per point
-    list.
+    do not depend on alpha or beta, so `prepare` computes them once per
+    batch.
     """
 
     def __init__(self, log_table: np.ndarray, alpha: float = 1.0, beta: float = 0.0):
@@ -173,16 +173,28 @@ class ZeroShotMean(_MeanBase):
             )
         self._values = {"alpha": float(alpha), "beta": float(beta)}
 
-    def scores(self, inputs) -> np.ndarray:
-        msets = _mutation_sets(inputs)
-        out = np.empty(len(msets))
-        for i, mset in enumerate(msets):
-            if mset is None:
-                raise ValueError(
-                    "zero-shot mean needs KernelInput objects carrying mutation sets"
-                )
-            out[i] = zero_shot_score(self.log_table, mset)
-        return out
+    def scores(self, inputs: KernelInputs) -> np.ndarray:
+        """f0 of each point of a batch, summed over its mutation entries in
+        order, so each equals `zero_shot_score` of the point's mutation set;
+        one RuntimeWarning per batch reports floored entries."""
+        owners, positions, from_res, to_res = inputs.entries
+        if self.log_table.shape[0] != len(inputs.parental):
+            raise ValueError(
+                f"table has {self.log_table.shape[0]} rows but parental length is "
+                f"{len(inputs.parental)}"
+            )
+        to_lp = self.log_table[positions, to_res]
+        from_lp = self.log_table[positions, from_res]
+        floor = np.log(PROB_FLOOR)
+        floored = int(np.sum(to_lp < floor) + np.sum(from_lp < floor))
+        if floored:
+            warnings.warn(
+                f"floored {floored} log-probabilities at {floor:.3f}",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        terms = np.maximum(to_lp, floor) - np.maximum(from_lp, floor)
+        return np.bincount(owners, weights=terms, minlength=len(inputs))
 
     prepare = scores
 
@@ -216,24 +228,22 @@ def _hyperparameters(kernel: Kernel, mean: _MeanBase, noise: float) -> _Namespac
 class Dataset:
     """Observed sequences, their kernel inputs, and targets, kept in lockstep.
 
-    `inputs` is whatever the kernel consumes: a list of KernelInput objects in
-    campaigns, or a plain (n, d) array in direct regression use.
+    `inputs` is one `KernelInputs` batch (what campaigns use, and what Kermut
+    kernels and zero-shot means need), or a plain (n, d) array of row vectors
+    for vector kernels in direct regression use.
     """
 
     sequences: tuple[str, ...]
-    inputs: object
+    inputs: KernelInputs | np.ndarray
     y: np.ndarray
 
     def __post_init__(self) -> None:
         self.sequences = tuple(self.sequences)
         self.y = np.asarray(self.y, dtype=float).ravel()
-        n_inputs = (
-            self.inputs.shape[0] if isinstance(self.inputs, np.ndarray) else len(self.inputs)
-        )
-        if not (len(self.sequences) == n_inputs == self.y.size):
+        if not (len(self.sequences) == len(self.inputs) == self.y.size):
             raise ValueError(
                 f"inconsistent dataset sizes: {len(self.sequences)} sequences, "
-                f"{n_inputs} inputs, {self.y.size} targets"
+                f"{len(self.inputs)} inputs, {self.y.size} targets"
             )
         if len(set(self.sequences)) != len(self.sequences):
             raise ValueError("dataset contains duplicate sequences")
@@ -244,10 +254,11 @@ class Dataset:
         return len(self.sequences)
 
     def extended(self, sequences, inputs, y) -> "Dataset":
+        """This dataset followed by new points; `inputs` is of this dataset's kind."""
         if isinstance(self.inputs, np.ndarray):
             new_inputs = np.vstack([self.inputs, np.asarray(inputs, dtype=float)])
         else:
-            new_inputs = list(self.inputs) + list(inputs)
+            new_inputs = self.inputs.concat(inputs)
         return Dataset(
             self.sequences + tuple(sequences),
             new_inputs,
@@ -359,9 +370,10 @@ class GPModel:
     def predict(self, query_inputs) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and standard deviation of the latent function.
 
-        A query list or `KernelInputs` batch costs one kernel `prepare`, one
-        cross block and one triangular solve, whatever its size. Tiny
-        negative variances from rounding are clamped to zero.
+        `query_inputs` is of the training data's kind: a `KernelInputs` batch
+        or a 2-D array. A query costs one kernel `prepare`, one cross block
+        and one triangular solve, whatever its size. Tiny negative variances
+        from rounding are clamped to zero.
         """
         prep_q = self.kernel.prepare(query_inputs)
         k_star = self.kernel.cross_prepared(self._prep, prep_q)

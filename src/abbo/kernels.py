@@ -13,15 +13,15 @@ computation is double precision.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .features import StructureContext
-from .sequences import AA_INDEX, MutationSet
+from .sequences import AA_INDEX, MutationSet, residue_indices
 
 __all__ = [
-    "KernelInput",
     "KernelInputs",
     "Kernel",
     "TanimotoKernel",
@@ -43,74 +43,80 @@ _SQRT5 = np.sqrt(5.0)
 
 
 @dataclass(frozen=True)
-class KernelInput:
-    """One data point as seen by kernels: named vectors plus optional mutations."""
-
-    vectors: Mapping[str, np.ndarray] = field(default_factory=dict)
-    mutations: MutationSet | None = None
-
-
-@dataclass(frozen=True)
 class KernelInputs:
-    """A batch of points as seen by kernels: each vector field stacked into
-    one (m, d) array, plus one mutation set (or None) per point.
+    """A batch of m points as seen by kernels and prior means.
 
-    Kernels read a stacked field as it is, with no per-point copy; indexing
-    or iterating yields the points as `KernelInput` rows.
+    `vectors` maps each field name to an (m, d) array. `residues` holds the
+    (m, L) alphabet indices of the sequences (`sequences.residue_indices`) and
+    `parental` the sequence they mutate; both are None for a vector-only
+    batch. Mutations are not stored: `entries` derives them from the residues.
     """
 
-    vectors: Mapping[str, np.ndarray]
-    mutations: Sequence[MutationSet | None]
+    vectors: Mapping[str, np.ndarray] = field(default_factory=dict)
+    residues: np.ndarray | None = None
+    parental: str | None = None
+
+    def __post_init__(self) -> None:
+        if (self.residues is None) != (self.parental is None):
+            raise ValueError("residues and parental must be given together")
+        shapes = {name: np.shape(values) for name, values in self.vectors.items()}
+        if self.residues is not None:
+            shapes["residues"] = np.shape(self.residues)
+        if {len(s) for s in shapes.values()} - {2} or len({s[0] for s in shapes.values()}) > 1:
+            raise ValueError(f"kernel inputs must be (m, d) arrays of one row count, got {shapes}")
+        if self.residues is not None and shapes["residues"][1] != len(self.parental):
+            raise ValueError(f"residues {shapes['residues']} do not fit parental {self.parental!r}")
 
     def __len__(self) -> int:
-        return len(self.mutations)
+        if self.residues is not None:
+            return len(self.residues)
+        return len(next(iter(self.vectors.values()), ()))
 
-    def __getitem__(self, i: int) -> KernelInput:
-        return KernelInput({name: rows[i] for name, rows in self.vectors.items()}, self.mutations[i])
+    def __getitem__(self, rows) -> "KernelInputs":
+        """The points at `rows`, a slice or an index array, as a batch."""
+        return KernelInputs(
+            {name: values[rows] for name, values in self.vectors.items()},
+            None if self.residues is None else self.residues[rows],
+            self.parental,
+        )
 
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
+    def concat(self, other: "KernelInputs") -> "KernelInputs":
+        """This batch's points followed by `other`'s, which has the same fields and parental."""
+        if other.parental != self.parental or other.vectors.keys() != self.vectors.keys():
+            raise ValueError("cannot join batches of different vector fields or parentals")
+        return KernelInputs(
+            {name: np.concatenate([v, other.vectors[name]]) for name, v in self.vectors.items()},
+            None if self.residues is None else np.concatenate([self.residues, other.residues]),
+            self.parental,
+        )
 
-
-def _mutation_sets(inputs) -> list[MutationSet | None]:
-    """The mutation set of each point of a list or batch (None where a point has none)."""
-    if isinstance(inputs, KernelInputs):
-        return list(inputs.mutations)
-    return [getattr(item, "mutations", None) for item in inputs]
+    @cached_property
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every substitution of the batch as (owners, positions, from, to): the
+        point it belongs to, its site, and the parental and substituted
+        residues' alphabet indices. Owners are nondecreasing and each point's
+        positions ascend, the order of `diff`'s mutation sets.
+        """
+        if self.residues is None:
+            raise ValueError(f"batch of fields {sorted(self.vectors)} has no residues and parental")
+        parental = residue_indices([self.parental], len(self.parental))[0]
+        owners, positions = np.nonzero(self.residues != parental)
+        return owners, positions, parental[positions], self.residues[owners, positions]
 
 
 def _stack(inputs, field_name: str | None) -> np.ndarray:
-    """Stack a list of inputs (or pass through a 2-D array or a batch's
-    stacked field) into an (n, d) matrix."""
-    if isinstance(inputs, np.ndarray):
-        arr = np.asarray(inputs, dtype=float)
-        if arr.ndim != 2:
-            raise ValueError(f"expected a 2-D array of row vectors, got shape {arr.shape}")
-        return arr
+    """The (n, d) matrix a vector kernel reads: a 2-D array as it is, or a
+    batch's field."""
     if isinstance(inputs, KernelInputs):
         if field_name not in inputs.vectors:
             raise ValueError(f"kernel input is missing vector field {field_name!r}")
-        if not len(inputs):
-            raise ValueError("empty input list")
-        return np.asarray(inputs.vectors[field_name], dtype=float)
-    rows = []
-    for item in inputs:
-        if isinstance(item, KernelInput):
-            if field_name is None:
-                raise ValueError(
-                    "vector kernel has no field name; cannot read structured inputs"
-                )
-            if field_name not in item.vectors:
-                raise ValueError(f"kernel input is missing vector field {field_name!r}")
-            rows.append(np.asarray(item.vectors[field_name], dtype=float))
-        else:
-            rows.append(np.asarray(item, dtype=float))
-    if not rows:
-        raise ValueError("empty input list")
-    dims = {r.shape for r in rows}
-    if len(dims) != 1 or rows[0].ndim != 1:
-        raise ValueError(f"inconsistent input vector shapes: {sorted(dims)}")
-    return np.stack(rows)
+        inputs = inputs.vectors[field_name]
+    elif not isinstance(inputs, np.ndarray):
+        raise TypeError(f"expected KernelInputs or a 2-D array, got {type(inputs).__name__}")
+    arr = np.asarray(inputs, dtype=float)
+    if arr.ndim != 2:
+        raise ValueError(f"expected a 2-D array of row vectors, got shape {arr.shape}")
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +205,7 @@ class Kernel(_Namespace):
     # -- Gram API
 
     def prepare(self, inputs):
-        """Precompute hyperparameter-independent structure for a point list."""
+        """Precompute hyperparameter-independent structure for a batch."""
         raise NotImplementedError
 
     def gram_prepared(self, prep) -> np.ndarray:
@@ -482,10 +488,11 @@ def _hellinger_matrix(site_probs: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _KermutPrepared:
-    """A point list as mutation entries; each entry belongs to one point.
+    """A batch as its mutation entries (`KernelInputs.entries`); each entry
+    belongs to one point.
 
     Cross and diagonal blocks work on the entries directly. Only the Gram of a
-    training list reads the dense blocks, which `KermutKernel._gram_blocks`
+    training batch reads the dense blocks, which `KermutKernel._gram_blocks`
     builds on first use and keeps here.
     """
 
@@ -524,10 +531,11 @@ class KermutKernel(Kernel):
     from each set, a product of three exponentials: Hellinger distance between
     the two sites' probability vectors, absolute difference of the substituted
     residues' probabilities, and structural distance between the sites. It is
-    0 whenever either mutation set is empty.
+    0 whenever either mutation set is empty. A point's mutations are read from
+    its residues against the batch's parental (`KernelInputs.entries`).
 
-    The Gram of a training list (the fit) uses dense (E, E) entry blocks and
-    an incidence matrix, built once per prepared list. A query batch (the
+    The Gram of a training batch (the fit) uses dense (E, E) entry blocks and
+    an incidence matrix, built once per prepared batch. A query batch (the
     posterior) stays in entry space: its cross block is the (E_a, E_b) entry
     kernel summed over the owners of each entry, and its diagonal sums only
     the entry pairs within each point.
@@ -578,38 +586,18 @@ class KermutKernel(Kernel):
 
     # -- preparation
 
-    def prepare(self, inputs) -> _KermutPrepared:
-        positions: list[int] = []
-        residues: list[int] = []
-        owners: list[int] = []
-        parental: str | None = None
-        n = 0
-        for i, mset in enumerate(_mutation_sets(inputs)):
-            if mset is None:
-                raise ValueError(
-                    "structure-aware kernel needs KernelInput objects with mutation sets"
-                )
-            if parental is None:
-                parental = mset.parental
-                if len(parental) != self.context.length:
-                    raise ValueError(
-                        f"parental length {len(parental)} != context length "
-                        f"{self.context.length}"
-                    )
-            elif mset.parental != parental:
-                raise ValueError("all mutation sets must share one parental sequence")
-            for mut in mset.entries:
-                positions.append(mut.position)
-                residues.append(AA_INDEX[mut.to_residue])
-                owners.append(i)
-            n = i + 1
-        pos = np.asarray(positions, dtype=int)
+    def prepare(self, inputs: KernelInputs) -> _KermutPrepared:
+        owners, positions, _, residues = inputs.entries
+        if len(inputs.parental) != self.context.length:
+            raise ValueError(
+                f"parental length {len(inputs.parental)} != context length {self.context.length}"
+            )
         return _KermutPrepared(
             seq_prep=self.seq_kernel.prepare(inputs),
-            n=n,
-            positions=pos,
-            sub_probs=self.context.site_probs[pos, np.asarray(residues, dtype=int)],
-            owners=np.asarray(owners, dtype=int),
+            n=len(inputs),
+            positions=positions,
+            sub_probs=self.context.site_probs[positions, residues],
+            owners=owners,
         )
 
     def _gram_blocks(self, prep: _KermutPrepared) -> tuple[np.ndarray, ...]:

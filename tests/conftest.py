@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from abbo.kernels import KernelInput
-from abbo.sequences import ALPHABET, diff
+from abbo.kernels import KernelInputs
+from abbo.sequences import AA_INDEX, ALPHABET, encode
 
 
 def random_sequences(rng: np.random.Generator, n: int, length: int) -> list[str]:
@@ -44,25 +44,29 @@ def random_mutants(
 
 def vector_inputs(
     rng: np.random.Generator, n: int, dim: int, field: str, nonneg: bool = False
-) -> list[KernelInput]:
+) -> KernelInputs:
     vecs = rng.standard_normal((n, dim))
     if nonneg:
         vecs = np.abs(vecs)
-    return [KernelInput(vectors={field: v}) for v in vecs]
+    return KernelInputs({field: vecs})
+
+
+def sequence_inputs(
+    seqs: list[str], parental: str, encoding=None, field: str = "onehot"
+) -> KernelInputs:
+    """A batch of sequences built one sequence and one residue at a time:
+    `encode` rows (when an encoding is given) and alphabet indices."""
+    vectors = {} if encoding is None else {field: np.stack([encode(s, encoding) for s in seqs])}
+    residues = np.array([[AA_INDEX[ch] for ch in s] for s in seqs])
+    return KernelInputs(vectors, residues, parental)
 
 
 def mutant_inputs(
     rng: np.random.Generator, parental: str, n: int, encoding=None, field: str = "onehot"
-) -> tuple[list[str], list[KernelInput]]:
-    """Random mutants paired with KernelInputs carrying mutations (and optional vectors)."""
-    from abbo.sequences import encode
-
+) -> tuple[list[str], KernelInputs]:
+    """The parental and n - 1 random mutants, with their batch (`sequence_inputs`)."""
     seqs = [parental] + random_mutants(rng, parental, n - 1)
-    inputs = []
-    for s in seqs:
-        vectors = {} if encoding is None else {field: encode(s, encoding)}
-        inputs.append(KernelInput(vectors=vectors, mutations=diff(parental, s)))
-    return seqs, inputs
+    return seqs, sequence_inputs(seqs, parental, encoding, field)
 
 
 # ---------------------------------------------------------------------------

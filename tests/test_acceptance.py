@@ -41,6 +41,7 @@ from abbo.gp import (
 )
 from abbo.kernels import (
     KermutKernel,
+    KernelInputs,
     Matern52Kernel,
     ProductKernel,
     SquaredExponentialKernel,
@@ -176,22 +177,22 @@ def test_gp_matches_dense_oracle_and_finite_differences(rng):
 
         got_ml = log_marginal_likelihood(kernel, mean, noise, data)
         want_ml = naive_log_marginal_likelihood(
-            kernel.gram(list(train)), mean.values(list(train)), noise, y
+            kernel.gram(train), mean.values(train), noise, y
         )
         if abs(got_ml - want_ml) > 1e-8:
             failures.append(f"trial {trial}: log ML off by {abs(got_ml - want_ml):.3e}")
 
         model = fit_gp(data, kernel, mean, noise=noise, fit_noise=False, restarts=1)
         want_mean, want_std = naive_posterior(
-            model.kernel.gram(list(train)),
-            model.kernel.cross(list(train), list(query)),
-            model.kernel.diag(list(query)),
-            model.mean.values(list(train)),
-            model.mean.values(list(query)),
+            model.kernel.gram(train),
+            model.kernel.cross(train, query),
+            model.kernel.diag(query),
+            model.mean.values(train),
+            model.mean.values(query),
             model.noise,
             y,
         )
-        got_mean, got_std = model.predict(list(query))
+        got_mean, got_std = model.predict(query)
         worst = max(
             float(np.max(np.abs(got_mean - want_mean))),
             float(np.max(np.abs(got_std - want_std))),
@@ -276,9 +277,11 @@ def test_kernel_grams_are_psd_and_reparameterization_holds(rng):
     for trial in range(100):
         n = int(rng.integers(2, 31))
         seqs, inputs = mutant_inputs(rng, PARENTAL, n, encoding=onehot)
-        for item, seq in zip(inputs, seqs):
-            item.vectors["blosum"] = encode(seq, blosum)
-            item.vectors["x"] = rng.standard_normal(8)
+        blosum_rows = np.stack([encode(seq, blosum) for seq in seqs])
+        x_rows = np.stack([rng.standard_normal(8) for _ in seqs])
+        inputs = KernelInputs(
+            {**inputs.vectors, "blosum": blosum_rows, "x": x_rows}, inputs.residues, inputs.parental
+        )
         for kernel in _kernel_zoo(rng, context):
             gram = kernel.gram(inputs)
             low = float(np.linalg.eigvalsh((gram + gram.T) / 2.0)[0])
@@ -293,8 +296,8 @@ def test_kernel_grams_are_psd_and_reparameterization_holds(rng):
     seq_gram = TanimotoKernel("onehot").gram(inputs)
     struct_gram = np.array(
         [
-            [kermut_struct(a.mutations, b.mutations, context) for b in inputs]
-            for a in inputs
+            [kermut_struct(diff(PARENTAL, a), diff(PARENTAL, b), context) for b in seqs]
+            for a in seqs
         ]
     )
     for _ in range(50):

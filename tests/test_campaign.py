@@ -486,10 +486,10 @@ def test_validate_and_run_fit_the_same_initial_data(monkeypatch, method):
     dry, first = seen
     assert dry.sequences == first.sequences
     assert np.array_equal(dry.y, first.y)
-    for a, b in zip(dry.inputs, first.inputs):
-        assert a.vectors.keys() == b.vectors.keys()
-        assert all(np.array_equal(a.vectors[k], b.vectors[k]) for k in a.vectors)
-        assert a.mutations == b.mutations
+    a, b = dry.inputs, first.inputs
+    assert a.vectors.keys() == b.vectors.keys()
+    assert all(np.array_equal(a.vectors[k], b.vectors[k]) for k in a.vectors)
+    assert np.array_equal(a.residues, b.residues) and a.parental == b.parental
 
 
 def test_validate_warns_about_small_ga_population():

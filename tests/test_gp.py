@@ -16,11 +16,17 @@ from abbo.gp import (
     log_marginal_likelihood_with_grads,
     zero_shot_score,
 )
-from abbo.kernels import KermutKernel, Matern52Kernel, SumKernel, TanimotoKernel
+from abbo.kernels import KermutKernel, KernelInputs, Matern52Kernel, SumKernel, TanimotoKernel
 from abbo.plm import substitution_softmax_pssm
 from abbo.sequences import diff, one_hot_matrix
 
-from conftest import mutant_inputs, naive_log_marginal_likelihood, naive_posterior
+from conftest import (
+    mutant_inputs,
+    naive_log_marginal_likelihood,
+    naive_posterior,
+    random_mutants,
+    sequence_inputs,
+)
 
 PARENTAL = "MKTAYIAKQRQISFVKSHFSRQ"
 
@@ -61,10 +67,22 @@ class TestDataset:
     def test_extended_appends(self, rng):
         seqs, inputs = mutant_inputs(rng, PARENTAL, 4, encoding=one_hot_matrix())
         data = Dataset(seqs[:3], inputs[:3], np.arange(3.0))
-        bigger = data.extended([seqs[3]], [inputs[3]], [3.0])
+        bigger = data.extended([seqs[3]], inputs[3:], [3.0])
         assert len(bigger) == 4
         assert len(data) == 3
         assert bigger.sequences[-1] == seqs[3]
+
+    def test_extended_and_sliced_batches_equal_one_built_at_once(self, rng):
+        seqs, inputs = mutant_inputs(rng, PARENTAL, 10, encoding=one_hot_matrix())
+        data = Dataset(seqs[:4], inputs[:4], np.arange(4.0))
+        grown = data.extended(seqs[4:7], inputs[np.arange(4, 7)], np.arange(4.0, 7.0))
+        grown = grown.extended(seqs[7:], inputs[7:], np.arange(7.0, 10.0))
+        whole = sequence_inputs(seqs, PARENTAL, one_hot_matrix())
+        assert grown.sequences == tuple(seqs)
+        assert np.array_equal(grown.inputs.residues, whole.residues)
+        assert np.array_equal(grown.inputs.vectors["onehot"], whole.vectors["onehot"])
+        for a, b in zip(grown.inputs.entries, whole.entries):
+            assert np.array_equal(a, b)
 
 
 class TestZeroShot:
@@ -85,16 +103,44 @@ class TestZeroShot:
         mean = ZeroShotMean(table, alpha=2.0, beta=-0.5)
         seqs, inputs = mutant_inputs(rng, PARENTAL, 5, encoding=one_hot_matrix())
         values = mean.values(inputs)
-        expected = [2.0 * zero_shot_score(table, item.mutations) - 0.5 for item in inputs]
+        expected = [2.0 * zero_shot_score(table, diff(PARENTAL, s)) - 0.5 for s in seqs]
         assert np.allclose(values, expected)
 
     def test_scores_computed_once_per_fit(self, rng, monkeypatch):
         n = 8
         seqs, inputs = mutant_inputs(rng, PARENTAL, n, encoding=one_hot_matrix())
         data = Dataset(seqs, inputs, rng.standard_normal(n))
-        calls = _counting(monkeypatch, "zero_shot_score")
+        calls = [0]  # points scored
+        real_prepare = ZeroShotMean.prepare
+
+        def counted(mean, batch):
+            calls[0] += len(batch)
+            return real_prepare(mean, batch)
+
+        monkeypatch.setattr(ZeroShotMean, "prepare", counted)
         fit_gp(data, TanimotoKernel("onehot"), ZeroShotMean(_log_table()), restarts=3, seed=2)
         assert calls[0] == n
+
+    def test_batch_scores_equal_one_set_scores_bitwise(self, rng):
+        table = _log_table()
+        table[[0, 5, 9], :] = np.log(1e-300)  # below the floor
+        seqs = [PARENTAL, *random_mutants(rng, PARENTAL, 40, max_sites=6)]
+        seqs.append(seqs[3])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            want = np.array([zero_shot_score(table, diff(PARENTAL, s)) for s in seqs])
+        assert len(caught) > 1  # one warning per floored mutation set
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = ZeroShotMean(table).scores(sequence_inputs(seqs, PARENTAL))
+        assert np.array_equal(got, want)
+        (warning,) = caught
+        assert warning.category is RuntimeWarning and "floored" in str(warning.message)
+
+    def test_vector_only_batch_is_rejected(self):
+        batch = KernelInputs({"onehot": np.ones((2, 4))})
+        with pytest.raises(ValueError, match="no residues and parental"):
+            ZeroShotMean(_log_table()).scores(batch)
 
 
 class TestLogMarginalLikelihood:
@@ -107,8 +153,8 @@ class TestLogMarginalLikelihood:
             mean = ConstantMean(float(rng.uniform(-1.0, 1.0)))
             noise = float(rng.uniform(0.01, 0.5))
             got = log_marginal_likelihood(kernel, mean, noise, data)
-            gram = kernel.gram(list(data.inputs))
-            mean_vec = mean.values(list(data.inputs))
+            gram = kernel.gram(data.inputs)
+            mean_vec = mean.values(data.inputs)
             expected = naive_log_marginal_likelihood(gram, mean_vec, noise, data.y)
             assert got == pytest.approx(expected, abs=1e-8)
 
@@ -125,15 +171,15 @@ class TestLogMarginalLikelihood:
             model = fit_gp(data, kernel, mean, noise=noise, fit_noise=False, restarts=1)
             # freeze at the fitted hyperparameters and compare predictions
             fitted_kernel = model.kernel
-            gram = fitted_kernel.gram(list(train_inp))
-            cross = fitted_kernel.cross(list(train_inp), list(query_inp))
-            diag = fitted_kernel.diag(list(query_inp))
-            mean_train = model.mean.values(list(train_inp))
-            mean_query = model.mean.values(list(query_inp))
+            gram = fitted_kernel.gram(train_inp)
+            cross = fitted_kernel.cross(train_inp, query_inp)
+            diag = fitted_kernel.diag(query_inp)
+            mean_train = model.mean.values(train_inp)
+            mean_query = model.mean.values(query_inp)
             want_mean, want_std = naive_posterior(
                 gram, cross, diag, mean_train, mean_query, model.noise, y
             )
-            got_mean, got_std = model.predict(list(query_inp))
+            got_mean, got_std = model.predict(query_inp)
             assert np.allclose(got_mean, want_mean, atol=1e-8)
             assert np.allclose(got_std, want_std, atol=1e-8)
 
@@ -318,7 +364,7 @@ class TestFitting:
         kernel = Matern52Kernel("onehot", lengthscale=3.0)
         kernel.freeze("lengthscale", "variance")
         model = fit_gp(data, kernel, ConstantMean(0.0), noise=1e-6, fit_noise=False, restarts=1)
-        pred, std = model.predict(list(inputs))
+        pred, std = model.predict(inputs)
         assert np.allclose(pred, y, atol=1e-3)
         assert np.all(std < 0.05)
 
@@ -382,9 +428,9 @@ def test_zero_shot_score_floors_missing_probabilities():
 BATCH_TOL = 1e-10
 
 
-def _one_row_input(asm, seq: str):
-    """A sequence's kernel input built from the one-sequence primitives."""
-    from abbo.kernels import KernelInput
+def _one_row_input(asm, seq: str) -> KernelInputs:
+    """A sequence's kernel input, a batch of one, built from the one-sequence
+    primitives."""
     from abbo.sequences import blosum62_matrix, encode
 
     fields = asm.representer.fields
@@ -401,7 +447,8 @@ def _one_row_input(asm, seq: str):
             vectors["coords"] = bundle.coords
         if "embedding_coords" in fields:
             vectors["embedding_coords"] = np.concatenate([bundle.embedding, bundle.coords])
-    return KernelInput(vectors=vectors, mutations=diff(PARENTAL, seq))
+    one = sequence_inputs([seq], PARENTAL)
+    return KernelInputs({name: v[None, :] for name, v in vectors.items()}, one.residues, PARENTAL)
 
 
 @pytest.mark.parametrize(
@@ -439,7 +486,7 @@ def test_batch_objectives_match_one_row_reference(method, rng):
     assert batch.shape == (len(candidates), 3 if method.startswith("C-") else 2)
     rows = []
     for seq in candidates:
-        mean, std = model.predict([_one_row_input(asm, seq)])
+        mean, std = model.predict(_one_row_input(asm, seq))
         row = [mean[0], std[0]]
         if method.startswith("C-"):
             row.append(asm.providers.constraint.pseudo_likelihood(seq))

@@ -4,7 +4,6 @@ import pytest
 from abbo.features import synthetic_structure_context
 from abbo.kernels import (
     KermutKernel,
-    KernelInput,
     KernelInputs,
     Matern52Kernel,
     ProductKernel,
@@ -21,9 +20,73 @@ from abbo.kernels import (
 )
 from abbo.sequences import blosum62_matrix, diff, encode, one_hot_matrix
 
-from conftest import central_difference, mutant_inputs, vector_inputs
+from conftest import (
+    central_difference,
+    mutant_inputs,
+    random_mutants,
+    sequence_inputs,
+    vector_inputs,
+)
 
 PARENTAL = "MKTAYIAKQRQISFVKSHFSRQ"
+
+
+# ---------------------------------------------------------------------------
+# the input batch
+
+
+def test_batch_entries_equal_diff_row_by_row(rng):
+    from abbo.sequences import ALPHABET, Mutation
+
+    seqs, _ = mutant_inputs(rng, PARENTAL, 12)
+    seqs += [*random_mutants(rng, PARENTAL, 6, max_sites=6), seqs[4]]  # and one row twice
+    owners, positions, from_res, to_res = sequence_inputs(seqs, PARENTAL).entries
+    assert np.all(np.diff(owners) >= 0)
+    got = [[] for _ in seqs]
+    for owner, pos, a, b in zip(owners, positions, from_res, to_res):
+        got[owner].append(Mutation(int(pos), ALPHABET[a], ALPHABET[b]))
+    assert [tuple(row) for row in got] == [diff(PARENTAL, s).entries for s in seqs]
+
+
+def test_batch_rejects_mismatched_rows_and_lengths():
+    residues = np.zeros((3, len(PARENTAL)), dtype=int)
+    with pytest.raises(ValueError, match="one row count"):
+        KernelInputs({"x": np.ones((4, 2))}, residues, PARENTAL)
+    with pytest.raises(ValueError, match="one row count"):
+        KernelInputs({"x": np.ones((4, 2)), "y": np.ones((3, 2))})
+    with pytest.raises(ValueError, match="do not fit parental"):
+        KernelInputs({}, residues, PARENTAL[:-1])
+    with pytest.raises(ValueError, match="together"):
+        KernelInputs({}, residues, None)
+    with pytest.raises(ValueError, match="together"):
+        KernelInputs({"x": np.ones((3, 2))}, None, PARENTAL)
+
+
+def test_batch_slices_and_joins(rng):
+    seqs, inputs = mutant_inputs(rng, PARENTAL, 9, encoding=one_hot_matrix())
+    rows = np.array([7, 0, 3, 3])
+    for part, want in [
+        (inputs[2:5], seqs[2:5]),
+        (inputs[rows], [seqs[i] for i in rows]),
+        (inputs[:4].concat(inputs[4:]), seqs),
+    ]:
+        built = sequence_inputs(want, PARENTAL, one_hot_matrix())
+        assert len(part) == len(want)
+        assert np.array_equal(part.residues, built.residues)
+        assert np.array_equal(part.vectors["onehot"], built.vectors["onehot"])
+        assert part.parental == PARENTAL
+    with pytest.raises(ValueError, match="cannot join"):
+        inputs.concat(sequence_inputs(seqs, PARENTAL))  # no one-hot field
+    with pytest.raises(ValueError, match="cannot join"):
+        inputs.concat(KernelInputs({"onehot": inputs.vectors["onehot"]}))  # no parental
+
+
+def test_kermut_rejects_a_vector_only_batch(rng):
+    kernel = KermutKernel(synthetic_structure_context(PARENTAL, seed=1), TanimotoKernel("onehot"))
+    with pytest.raises(ValueError, match="no residues and parental"):
+        kernel.prepare(KernelInputs({"onehot": np.abs(rng.standard_normal((3, 5)))}))
+    with pytest.raises(ValueError, match="context length"):
+        kernel.prepare(sequence_inputs(["A" * 5], "A" * 5))
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +164,7 @@ def test_gram_matches_scalar_double_loop(rng, kernel_cls, scalar):
     gram = kernel.gram(inputs)
     for i in range(6):
         for j in range(6):
-            expected = scalar(inputs[i].vectors["x"], inputs[j].vectors["x"])
+            expected = scalar(inputs.vectors["x"][i], inputs.vectors["x"][j])
             assert gram[i, j] == pytest.approx(expected, rel=1e-12)
     assert np.allclose(kernel.diag(inputs), np.diag(gram))
     assert np.allclose(kernel.cross(inputs, inputs), gram)
@@ -138,11 +201,15 @@ def test_tanimoto_variance_gradient_is_unit_gram(rng):
 # combinators
 
 
+def _two_field_inputs(rng, n):
+    """n points with a nonnegative field "a" of 4 and a field "b" of 3, drawn point by point."""
+    draws = [(np.abs(rng.standard_normal(4)), rng.standard_normal(3)) for _ in range(n)]
+    a, b = zip(*draws)
+    return KernelInputs({"a": np.stack(a), "b": np.stack(b)})
+
+
 def test_sum_and_product_match_manual_combination(rng):
-    inputs = [
-        KernelInput(vectors={"a": np.abs(rng.standard_normal(4)), "b": rng.standard_normal(3)})
-        for _ in range(5)
-    ]
+    inputs = _two_field_inputs(rng, 5)
     ka, kb = TanimotoKernel("a"), Matern52Kernel("b")
     total = SumKernel([("t", ka), ("m", kb)], weights=[0.6, 0.4])
     prod = ProductKernel([("t", TanimotoKernel("a")), ("m", Matern52Kernel("b"))])
@@ -164,10 +231,7 @@ def test_combinator_parameter_namespacing(rng):
 
 
 def test_combinator_gradients_match_finite_differences(rng):
-    inputs = [
-        KernelInput(vectors={"a": np.abs(rng.standard_normal(4)), "b": rng.standard_normal(3)})
-        for _ in range(4)
-    ]
+    inputs = _two_field_inputs(rng, 4)
     kernel = SumKernel([("t", TanimotoKernel("a")), ("m", Matern52Kernel("b"))], [0.7, 0.3])
     prep = kernel.prepare(inputs)
     _, grads = kernel.gram_grad_prepared(prep)
@@ -190,7 +254,7 @@ def test_combinator_gradients_match_finite_differences(rng):
 @pytest.fixture
 def kermut(rng):
     context = synthetic_structure_context(PARENTAL, seed=1)
-    _, inputs = mutant_inputs(rng, PARENTAL, 8, encoding=one_hot_matrix())
+    seqs, inputs = mutant_inputs(rng, PARENTAL, 8, encoding=one_hot_matrix())
     kernel = KermutKernel(
         context,
         TanimotoKernel("onehot"),
@@ -200,31 +264,32 @@ def kermut(rng):
         gamma_p=1.2,
         gamma_d=0.15,
     )
-    return kernel, context, inputs
+    return kernel, context, seqs, inputs
 
 
 def test_kermut_gram_matches_scalar_reference(kermut):
-    kernel, context, inputs = kermut
+    kernel, context, seqs, inputs = kermut
     gram = kernel.gram(inputs)
     params = kernel.params()
     var, mix = params["variance"], params["mix"]
-    for i, a in enumerate(inputs):
-        for j, b in enumerate(inputs):
+    onehot = one_hot_matrix()
+    for i, a in enumerate(seqs):
+        for j, b in enumerate(seqs):
             struct = kermut_struct(
-                a.mutations,
-                b.mutations,
+                diff(PARENTAL, a),
+                diff(PARENTAL, b),
                 context,
                 gamma_h=params["gamma_h"],
                 gamma_p=params["gamma_p"],
                 gamma_d=params["gamma_d"],
             )
-            seq = tanimoto(a.vectors["onehot"], b.vectors["onehot"])
+            seq = tanimoto(encode(a, onehot), encode(b, onehot))
             expected = var * (mix * struct + (1.0 - mix) * seq)
             assert gram[i, j] == pytest.approx(expected, abs=1e-12), (i, j)
 
 
 def test_kermut_diag_and_cross_consistent(kermut):
-    kernel, _, inputs = kermut
+    kernel, _, _, inputs = kermut
     gram = kernel.gram(inputs)
     assert np.allclose(kernel.diag(inputs), np.diag(gram))
     assert np.allclose(kernel.cross(inputs, inputs[:3]), gram[:, :3])
@@ -236,13 +301,12 @@ def test_kermut_entry_space_cross_and_diag_match_double_sum(kermut, rng, monkeyp
     # block 1 the cross takes the batch one point per slab
     if block is not None:
         monkeypatch.setattr("abbo.kernels._ENTRY_BLOCK", block)
-    kernel, context, train = kermut
-    _, extra = mutant_inputs(rng, PARENTAL, 7, encoding=one_hot_matrix())
+    kernel, context, train_seqs, train = kermut
+    onehot = one_hot_matrix()
+    extra, _ = mutant_inputs(rng, PARENTAL, 7, encoding=onehot)
     # the parental (no mutations), two training points, new designs, one twice
-    rows = [train[0], train[3], train[5], *extra[1:], extra[2]]
-    query = KernelInputs(
-        {"onehot": np.stack([r.vectors["onehot"] for r in rows])}, [r.mutations for r in rows]
-    )
+    rows = [train_seqs[0], train_seqs[3], train_seqs[5], *extra[1:], extra[2]]
+    query = sequence_inputs(rows, PARENTAL, onehot)
     prep_q = kernel.prepare(query)
     cross = kernel.cross_prepared(kernel.prepare(train), prep_q)
     diag = kernel.diag_prepared(prep_q)
@@ -252,11 +316,15 @@ def test_kermut_entry_space_cross_and_diag_match_double_sum(kermut, rng, monkeyp
     gammas = {name: params[name] for name in ("gamma_h", "gamma_p", "gamma_d")}
 
     def expected(a, b):
-        struct = kermut_struct(a.mutations, b.mutations, context, **gammas)
-        seq = tanimoto(a.vectors["onehot"], b.vectors["onehot"])
+        struct = kermut_struct(diff(PARENTAL, a), diff(PARENTAL, b), context, **gammas)
+        seq = tanimoto(encode(a, onehot), encode(b, onehot))
         return var * (mix * struct + (1.0 - mix) * seq)
 
-    worst = max(abs(cross[i, j] - expected(a, b)) for i, a in enumerate(train) for j, b in enumerate(rows))
+    worst = max(
+        abs(cross[i, j] - expected(a, b))
+        for i, a in enumerate(train_seqs)
+        for j, b in enumerate(rows)
+    )
     worst = max([worst] + [abs(diag[j] - expected(b, b)) for j, b in enumerate(rows)])
     assert worst <= 1e-12, worst
 
@@ -264,22 +332,22 @@ def test_kermut_entry_space_cross_and_diag_match_double_sum(kermut, rng, monkeyp
 def test_kermut_parental_row_uses_sequence_kernel_only(kermut):
     # the parental has no mutations, so the structural sum is empty and the
     # kernel must fall back to the weighted sequence similarity alone
-    kernel, _, inputs = kermut
+    kernel, _, _, inputs = kermut
     params = kernel.params()
     gram = kernel.gram(inputs)
-    seq = tanimoto(inputs[0].vectors["onehot"], inputs[1].vectors["onehot"])
+    seq = tanimoto(inputs.vectors["onehot"][0], inputs.vectors["onehot"][1])
     expected = params["variance"] * (1.0 - params["mix"]) * seq
     assert gram[0, 1] == pytest.approx(expected)
 
 
 def test_kermut_child_variance_is_pinned(kermut):
-    kernel, _, _ = kermut
+    kernel, *_ = kermut
     assert kernel.params()["seq.variance"] == 1.0
     assert "seq.variance" not in kernel.free_param_names()
 
 
 def test_kermut_gradients_match_finite_differences(kermut):
-    kernel, _, inputs = kermut
+    kernel, _, _, inputs = kermut
     prep = kernel.prepare(inputs)
     _, grads = kernel.gram_grad_prepared(prep)
     for name in kernel.free_param_names():
@@ -308,7 +376,7 @@ def test_kermut_blosum_variant(rng):
 
 
 def test_kermut_mix_bounds_enforced(kermut):
-    kernel, _, _ = kermut
+    kernel, *_ = kermut
     with pytest.raises(ValueError):
         kernel.set_param("mix", 1.0)
     with pytest.raises(ValueError):
@@ -370,9 +438,11 @@ def test_all_kernels_produce_psd_grams(rng):
     for trial in range(25):
         n = int(rng.integers(2, 12))
         seqs, inputs = mutant_inputs(rng, PARENTAL, n, encoding=onehot)
-        for item, seq in zip(inputs, seqs):
-            item.vectors["blosum"] = encode(seq, blosum)
-            item.vectors["x"] = rng.standard_normal(6)
+        blosum_rows = np.stack([encode(seq, blosum) for seq in seqs])
+        x_rows = np.stack([rng.standard_normal(6) for _ in seqs])
+        inputs = KernelInputs(
+            {**inputs.vectors, "blosum": blosum_rows, "x": x_rows}, inputs.residues, inputs.parental
+        )
         kernels = [
             TanimotoKernel("onehot"),
             TanimotoKernel("blosum"),
