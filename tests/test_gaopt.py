@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -248,3 +251,133 @@ def test_non_finite_row_names_its_sequence():
     with pytest.raises(ValueError, match="non-finite") as err:
         evolve(PARENTAL, evaluate_many, config)
     assert repr(bad[0]) in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# golden runs: a whole EvolveResult and every front_writer call, hashed
+
+
+def _golden_objective(parental: str, n_objectives: int):
+    """Conflicting objectives rounded to one decimal, so fronts share values:
+    two random per-site residue tables and minus the mutation count."""
+    tables = np.random.default_rng(0).standard_normal((2, len(parental), len(ALPHABET)))
+    sites = np.arange(len(parental))
+
+    def evaluate(seq: str) -> np.ndarray:
+        idx = [ALPHABET.index(ch) for ch in seq]
+        row = [
+            round(float(tables[0, sites, idx].sum()), 1),
+            -float(sum(a != b for a, b in zip(seq, parental))),
+            round(float(tables[1, sites, idx].sum()), 1),
+        ]
+        return np.array(row[:n_objectives])
+
+    return evaluate
+
+
+GA_GOLDEN_CASES = {
+    # default crossover, no cap, seeds and an exclude set, two objectives
+    "uncapped-k2": (
+        PARENTAL,
+        GAConfig(population_size=16, generations=6, seed=1),
+        ["MKTAYIAKQRQISFVKSW", "WKTAYIAKQRQISFVKSH"],
+        {PARENTAL, "MKTAYIAKQRQISFVKSW"},
+    ),
+    # no crossover, a low flip rate and a cap of two: unflipped children copy
+    # their parents and are re-mutated as duplicates; repair trims the rest
+    "cap2-nocross-k3": (
+        PARENTAL,
+        GAConfig(
+            population_size=16,
+            generations=6,
+            seed=2,
+            mutation_rate=0.05,
+            crossover_probability=0.0,
+            max_mutations=2,
+            objective_set="mean_std_likelihood",
+        ),
+        ["MKTAYIAKQRQISFVKWW", "MKTAYIAKQRQISWWWWW"],  # the second is over the cap
+        (),
+    ),
+    # every pair crosses over at a high flip rate, three objectives
+    "fullcross-k3": (
+        PARENTAL,
+        GAConfig(
+            population_size=20,
+            generations=5,
+            seed=3,
+            mutation_rate=0.5,
+            crossover_probability=1.0,
+            objective_set="mean_std_likelihood",
+        ),
+        [],
+        {PARENTAL},
+    ),
+    # a five-residue parental at a high flip rate: the initial population
+    # repeats a mutant, and capped children collide with each other
+    "short-cap2-k2": (
+        "MKTAY",
+        GAConfig(
+            population_size=24,
+            generations=5,
+            seed=4,
+            mutation_rate=0.4,
+            crossover_probability=1.0,
+            max_mutations=2,
+        ),
+        ["MKTAW"],
+        {"MKTAY", "MKTAW"},
+    ),
+}
+
+# Pinned before the GA moved to residue-index arrays. A change that moves one
+# must say so; print the new values with
+#     PYTHONPATH=src python3 tests/test_gaopt.py
+GA_GOLDEN = {
+    "uncapped-k2": "3695c07ea71c3b19",
+    "cap2-nocross-k3": "e25a86f259ef74ff",
+    "fullcross-k3": "fc458816fbf56ce7",
+    "short-cap2-k2": "da49f7fad587052a",
+}
+
+
+def ga_digest(case: str) -> str:
+    """sha256 prefix of an EvolveResult and the front_writer calls of its run."""
+    parental, config, seeds, exclude = GA_GOLDEN_CASES[case]
+    calls = []
+
+    def writer(generation, seqs, objs):
+        calls.append([generation, list(seqs), objs.tobytes().hex()])
+
+    n_objectives = 2 if config.objective_set == "mean_std" else 3
+    result = evolve(
+        parental,
+        batched(_golden_objective(parental, n_objectives)),
+        config,
+        exclude=exclude,
+        seed_sequences=seeds,
+        front_writer=writer,
+    )
+    payload = {
+        "ranked": [
+            [seq, objs.tobytes().hex(), rank, repr(crowd)]
+            for seq, objs, rank, crowd in result.ranked
+        ],
+        "front": [[seq, objs.tobytes().hex()] for seq, objs in result.front],
+        "history": result.history.tobytes().hex(),
+        "evaluations": result.evaluations,
+        "front_writer": calls,
+    }
+    return hashlib.sha256(json.dumps(payload).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("case", sorted(GA_GOLDEN))
+def test_ga_golden_run(case):
+    assert ga_digest(case) == GA_GOLDEN[case]
+
+
+if __name__ == "__main__":
+    print("GA_GOLDEN = {")
+    for case in GA_GOLDEN:
+        print(f"    {case!r}: {ga_digest(case)!r},")
+    print("}")

@@ -1,16 +1,19 @@
 """Seeded campaigns reproduce, whatever the machine's BLAS thread default.
 
 Campaigns run BLAS at one thread (`abbo._blas`). The golden fingerprints below
-pin the behaviour of one small seeded campaign per method family; a change that
-moves one must say so. After such a change, print the new values with
+pin the behaviour of one small seeded campaign per method family: GOLDEN its
+designs, GOLDEN_FIT its fitted hyperparameters and log marginal likelihoods.
+A change that moves one must say so. After such a change, print the new values
+with
 
     PYTHONPATH=src python3 tests/test_reproducibility.py
 
-and paste them into GOLDEN.
+and paste them into GOLDEN and GOLDEN_FIT.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -25,6 +28,7 @@ import abbo
 from abbo import _blas
 from abbo.campaign import (
     CampaignConfig,
+    CampaignLog,
     OracleConfig,
     ProtocolConfig,
     run_campaign,
@@ -48,6 +52,18 @@ GOLDEN = {
     "Random": "36d7a5bc543d6ceb",
     "C-Kermut-BLO-T": "48a337f7059ae10f",
     "Const-Kermut-T": "88f6f9258f834f87",
+}
+
+# The same campaigns' fits: each round's hyperparameters and log ML.
+GOLDEN_FIT = {
+    "BLO-T": "6b3b6c9969a0c943",
+    "ESM-M": "cb1c404d63f11fa0",
+    "IgFold-BLO-T": "9889e7bc38285467",
+    "Kermut-T": "00ff5a7e2ca4078e",
+    "C-OneHot-T": "335f279ad415bf4d",
+    "Random": "66e529d14e5ed948",
+    "C-Kermut-BLO-T": "26ce58045ad6089f",
+    "Const-Kermut-T": "9d92c7d2d16ade42",
 }
 
 
@@ -87,21 +103,48 @@ def late_config() -> CampaignConfig:
     )
 
 
-def fingerprint(config: CampaignConfig) -> str:
-    """The benchmark's behaviour fingerprint (`bench/checks.py`) of a
-    one-repeat campaign: a hash of the best-so-far series and the acquired
-    sequences of every round."""
-    (log,) = run_campaign(config).logs
-    payload = {
-        "best_so_far": [rec.best_so_far for rec in log.records],
-        "acquired": [[a.sequence for a in rec.acquired] for rec in log.records],
-    }
+def _digest(payload) -> str:
     return hashlib.sha256(json.dumps(payload).encode()).hexdigest()[:16]
+
+
+def design_digest(log: CampaignLog) -> str:
+    """The benchmark's behaviour fingerprint (`bench/checks.py`): a hash of
+    the best-so-far series and the acquired sequences of every round."""
+    return _digest(
+        {
+            "best_so_far": [rec.best_so_far for rec in log.records],
+            "acquired": [[a.sequence for a in rec.acquired] for rec in log.records],
+        }
+    )
+
+
+def fit_digest(log: CampaignLog) -> str:
+    """A hash of the `repr` of every round's hyperparameters and log ML."""
+    return _digest(
+        [[repr(rec.hyperparameters), repr(rec.log_marginal_likelihood)] for rec in log.records]
+    )
+
+
+def fingerprint(config: CampaignConfig) -> str:
+    """`design_digest` of a one-repeat campaign."""
+    (log,) = run_campaign(config).logs
+    return design_digest(log)
+
+
+@functools.cache
+def golden_log(method: str) -> CampaignLog:
+    (log,) = run_campaign(small_config(method)).logs
+    return log
 
 
 @pytest.mark.parametrize("method", sorted(GOLDEN))
 def test_golden_fingerprint(method):
-    assert fingerprint(small_config(method)) == GOLDEN[method]
+    assert design_digest(golden_log(method)) == GOLDEN[method]
+
+
+@pytest.mark.parametrize("method", sorted(GOLDEN_FIT))
+def test_golden_fit(method):
+    assert fit_digest(golden_log(method)) == GOLDEN_FIT[method]
 
 
 def test_seeded_campaign_does_not_depend_on_blas_threads():
@@ -183,7 +226,8 @@ def test_missing_thread_control_warns_once_and_runs(monkeypatch):
 
 
 if __name__ == "__main__":
-    print("GOLDEN = {")
-    for method in GOLDEN:
-        print(f"    {method!r}: {fingerprint(small_config(method))!r},")
-    print("}")
+    for name, digest in (("GOLDEN", design_digest), ("GOLDEN_FIT", fit_digest)):
+        print(f"{name} = {{")
+        for method in GOLDEN:
+            print(f"    {method!r}: {digest(golden_log(method))!r},")
+        print("}")
