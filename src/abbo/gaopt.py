@@ -6,6 +6,14 @@ sequences to one fixed-length objective row each, deterministically. It is
 called once per generation with every new sequence at once, so a campaign can
 score a whole generation with one representation step and one posterior
 predict.
+
+Inside `evolve` the population and its offspring are (N, L) arrays of residue
+indices into `ALPHABET`: crossover is one `np.where` per pair, a substitution
+rewrites one entry, and duplicates are found by row bytes. Sequences appear
+only at the edges: the seeds and exclusions going in, the evaluator and its
+cache, the front writer and the result. Ranking is array code too: (N, N)
+domination per objective, and crowding for every front in one sorted pass
+per objective.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .sequences import ALPHABET, validate_sequence
+from .sequences import ALPHABET, residue_indices, validate_sequence
 
 __all__ = [
     "GAConfig",
@@ -26,6 +34,8 @@ __all__ = [
 ]
 
 OBJECTIVE_SETS = ("mean_std", "mean_std_likelihood")
+
+_LETTERS = np.frombuffer(ALPHABET.encode("ascii"), dtype=np.uint8)
 
 
 @dataclass
@@ -78,8 +88,11 @@ def non_dominated_sort(objectives: np.ndarray) -> list[np.ndarray]:
     if objs.ndim != 2 or objs.shape[0] == 0:
         raise ValueError(f"expected a nonempty (n, m) objective matrix, got {objs.shape}")
     n = objs.shape[0]
-    ge = np.all(objs[:, None, :] >= objs[None, :, :], axis=2)
-    gt = np.any(objs[:, None, :] > objs[None, :, :], axis=2)
+    ge = np.ones((n, n), dtype=bool)
+    gt = np.zeros((n, n), dtype=bool)
+    for col in objs.T:
+        ge &= col[:, None] >= col[None, :]
+        gt |= col[:, None] > col[None, :]
     dominates = ge & gt
 
     dominated_count = dominates.sum(axis=0)
@@ -102,6 +115,10 @@ def crowding_distance(front_objectives: np.ndarray) -> np.ndarray:
 
     Interior points sum, per objective, the normalized gap between their two
     sorted neighbors. Flat objectives (zero range) contribute nothing.
+
+    This is the readable per-front reference: `evolve` ranks with
+    `_rank_population`, which computes every front's distances in one pass,
+    and the tests hold the two equal.
     """
     objs = np.asarray(front_objectives, dtype=float)
     if objs.ndim != 2 or objs.shape[0] == 0:
@@ -135,12 +152,40 @@ class EvolveResult:
 
 
 def _rank_population(objs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    ranks = np.empty(objs.shape[0], dtype=int)
-    crowd = np.empty(objs.shape[0], dtype=float)
+    """Front rank and crowding distance of every row, equal to
+    `non_dominated_sort` then `crowding_distance` front by front.
+
+    Sorting one objective by (rank, value) lays the fronts out one after
+    another, each in `crowding_distance`'s stable order, so every front's
+    neighbor gaps come from one pass. A row that is the lowest or highest of
+    its front in any objective is infinitely far from the crowd.
+    """
+    n = objs.shape[0]
+    ranks = np.empty(n, dtype=int)
     for rank, front in enumerate(non_dominated_sort(objs)):
         ranks[front] = rank
-        crowd[front] = crowding_distance(objs[front])
+    crowd = np.zeros(n)
+    boundary = np.zeros(n, dtype=bool)
+    pos = np.arange(n)
+    for col in objs.T:
+        order = np.lexsort((col, ranks))
+        sorted_ranks = ranks[order]
+        first = np.searchsorted(sorted_ranks, sorted_ranks)
+        last = np.searchsorted(sorted_ranks, sorted_ranks, side="right") - 1
+        values = col[order]
+        span = values[last] - values[first]
+        boundary[order[(pos == first) | (pos == last)]] = True
+        inner = pos[(first < pos) & (pos < last) & (span > 0)]
+        crowd[order[inner]] += (values[inner + 1] - values[inner - 1]) / span[inner]
+    crowd[boundary] = np.inf
     return ranks, crowd
+
+
+def _sequences(rows: np.ndarray) -> list[str]:
+    """The strings of an (m, L) residue-index array."""
+    length = rows.shape[1]
+    text = _LETTERS[rows].tobytes().decode("ascii")
+    return [text[i : i + length] for i in range(0, len(text), length)]
 
 
 def evolve(
@@ -213,116 +258,115 @@ def evolve(
             cache.update(zip(new, values))
         return np.stack([cache[seq] for seq in batch])
 
-    def count_muts(seq: str) -> int:
-        return sum(1 for a, b in zip(parental, seq) if a != b)
+    # uint8 rows: the 20 residue indices fit, and the row bytes that
+    # deduplication hashes stay L long
+    parental_row = residue_indices([parental], length)[0].astype(np.uint8)
 
-    def random_mutant(base: str, n_sites: int) -> str:
-        chars = list(base)
-        sites = rng.choice(length, size=min(n_sites, length), replace=False)
-        for pos in sites:
-            choices = [aa for aa in ALPHABET if aa != chars[pos]]
-            chars[pos] = choices[rng.integers(len(choices))]
-        return "".join(chars)
+    def substitute(row: np.ndarray, pos: int) -> None:
+        """Replace residue `pos` of `row` by one of the other 19, uniformly."""
+        r = rng.integers(len(ALPHABET) - 1)
+        row[pos] = r + (r >= row[pos])
 
-    def repair(seq: str) -> str:
+    def mutate_sites(row: np.ndarray, n_sites: int) -> None:
+        for pos in rng.choice(length, size=min(n_sites, length), replace=False):
+            substitute(row, pos)
+
+    def repair(row: np.ndarray) -> None:
+        """Revert random sites until at most `cap` differ from the parental."""
         if cap is None:
-            return seq
-        chars = list(seq)
-        differing = [i for i in range(length) if chars[i] != parental[i]]
+            return
+        differing = (row != parental_row).nonzero()[0]
+        if len(differing) <= cap:
+            return
+        differing = differing.tolist()
         while len(differing) > cap:
-            pick = rng.integers(len(differing))
-            pos = differing.pop(pick)
-            chars[pos] = parental[pos]
-        return "".join(chars)
+            pos = differing.pop(rng.integers(len(differing)))
+            row[pos] = parental_row[pos]
 
-    def point_mutation(seq: str) -> str:
-        return repair(random_mutant(seq, 1))
+    def point_mutation(row: np.ndarray) -> None:
+        mutate_sites(row, 1)
+        repair(row)
 
     # -- initial population
-    population: list[str] = [parental]
-    seen = {parental}
+    rows = [parental_row]
+    seen = {parental_row.tobytes()}
     for seq in seed_sequences:
         validate_sequence(seq)
         if len(seq) != length:
             raise ValueError(
                 f"seed sequence length {len(seq)} != parental length {length}"
             )
-        if cap is not None and count_muts(seq) > cap:
+        row = residue_indices([seq], length)[0].astype(np.uint8)
+        if cap is not None and np.count_nonzero(row != parental_row) > cap:
             continue
-        if seq not in seen and len(population) < config.population_size:
-            population.append(seq)
-            seen.add(seq)
-    while len(population) < config.population_size:
-        max_sites = 3 if cap is None else min(3, cap)
-        candidate = random_mutant(parental, int(rng.integers(1, max_sites + 1)))
-        if candidate in seen:
-            candidate = point_mutation(candidate)  # re-mutate once, then tolerate
-        population.append(candidate)
-        seen.add(candidate)
+        if row.tobytes() not in seen and len(rows) < config.population_size:
+            rows.append(row)
+            seen.add(row.tobytes())
+    max_sites = 3 if cap is None else min(3, cap)
+    while len(rows) < config.population_size:
+        row = parental_row.copy()
+        mutate_sites(row, int(rng.integers(1, max_sites + 1)))
+        if row.tobytes() in seen:
+            point_mutation(row)  # re-mutate once, then tolerate
+        rows.append(row)
+        seen.add(row.tobytes())
+    population = np.stack(rows)
+    sequences = _sequences(population)
 
-    objs = scored(population)
+    objs = scored(sequences)
     history = [objs.max(axis=0)]
 
     for generation in range(config.generations):
         ranks, crowd = _rank_population(objs)
+        standing = list(zip(ranks.tolist(), (-crowd).tolist()))
 
         def tournament() -> int:
             i, j = rng.integers(len(population)), rng.integers(len(population))
-            if (ranks[i], -crowd[i]) <= (ranks[j], -crowd[j]):
-                return int(i)
-            return int(j)
+            return int(i) if standing[i] <= standing[j] else int(j)
 
-        offspring: list[str] = []
-        batch_seen = set(population)
-        while len(offspring) < config.population_size:
+        offspring = np.empty_like(population)
+        batch_seen = {row.tobytes() for row in population}
+        for k in range(0, config.population_size, 2):
             a = population[tournament()]
             b = population[tournament()]
             if rng.random() < config.crossover_probability:
                 mask = rng.random(length) < 0.5
-                child_a = "".join(y if m else x for x, y, m in zip(a, b, mask))
-                child_b = "".join(x if m else y for x, y, m in zip(a, b, mask))
+                offspring[k] = np.where(mask, b, a)
+                offspring[k + 1] = np.where(mask, a, b)
             else:
-                child_a, child_b = a, b
-            for child in (child_a, child_b):
-                chars = list(child)
-                flips = np.nonzero(rng.random(length) < rate)[0]
-                for pos in flips:
-                    choices = [aa for aa in ALPHABET if aa != chars[pos]]
-                    chars[pos] = choices[rng.integers(len(choices))]
-                mutated = repair("".join(chars))
-                if mutated in batch_seen:
-                    mutated = point_mutation(mutated)
-                batch_seen.add(mutated)
-                offspring.append(mutated)
-        offspring = offspring[: config.population_size]
+                offspring[k], offspring[k + 1] = a, b
+            for child in offspring[k : k + 2]:
+                for pos in (rng.random(length) < rate).nonzero()[0]:
+                    substitute(child, pos)
+                repair(child)
+                if child.tobytes() in batch_seen:
+                    point_mutation(child)
+                batch_seen.add(child.tobytes())
 
-        union = population + offspring
-        union_objs = scored(union)
+        union_sequences = sequences + _sequences(offspring)
+        union_objs = np.concatenate([objs, scored(union_sequences[len(sequences) :])])
         union_ranks, union_crowd = _rank_population(union_objs)
-        order = sorted(
-            range(len(union)), key=lambda i: (union_ranks[i], -union_crowd[i], i)
-        )
-        keep = order[: config.population_size]
-        population = [union[i] for i in keep]
+        keep = np.lexsort((-union_crowd, union_ranks))[: config.population_size]
+        population = np.concatenate([population, offspring])[keep]
+        sequences = [union_sequences[i] for i in keep]
         objs = union_objs[keep]
         history.append(objs.max(axis=0))
 
         if front_writer is not None:
-            front_idx = [i for i in keep if union_ranks[i] == 0]
+            front_idx = keep[union_ranks[keep] == 0]
             front_writer(
                 generation,
-                [union[i] for i in front_idx],
+                [union_sequences[i] for i in front_idx],
                 union_objs[front_idx],
             )
 
     ranks, crowd = _rank_population(objs)
-    order = sorted(range(len(population)), key=lambda i: (ranks[i], -crowd[i], i))
 
     front: list[tuple[str, np.ndarray]] = []
     ranked: list[tuple[str, np.ndarray, int, float]] = []
     emitted: set[str] = set()
-    for i in order:
-        seq = population[i]
+    for i in np.lexsort((-crowd, ranks)):
+        seq = sequences[i]
         if seq in emitted or seq in exclude_set:
             continue
         emitted.add(seq)

@@ -4,7 +4,13 @@ import json
 import numpy as np
 import pytest
 
-from abbo.gaopt import GAConfig, crowding_distance, evolve, non_dominated_sort
+from abbo.gaopt import (
+    GAConfig,
+    _rank_population,
+    crowding_distance,
+    evolve,
+    non_dominated_sort,
+)
 from abbo.sequences import ALPHABET, diff
 
 from conftest import batched, brute_force_fronts
@@ -26,6 +32,13 @@ def test_non_dominated_sort_matches_brute_force(rng):
         got = [sorted(f.tolist()) for f in non_dominated_sort(objs)]
         want = brute_force_fronts(objs)
         assert got == want
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_non_dominated_sort_matches_brute_force_at_full_union_size(rng, m):
+    objs = np.round(rng.standard_normal((256, m)), 1)  # ties and duplicates
+    got = [sorted(f.tolist()) for f in non_dominated_sort(objs)]
+    assert got == brute_force_fronts(objs)
 
 
 def test_sort_covers_every_index_once(rng):
@@ -66,6 +79,55 @@ def test_crowding_distance_flat_objective_contributes_nothing():
     front = np.array([[0.0, 5.0], [1.0, 5.0], [2.0, 5.0]])
     out = crowding_distance(front)
     assert out[1] == pytest.approx((2.0 - 0.0) / 2.0)
+
+
+def _per_front_ranking(objs):
+    ranks = np.empty(len(objs), dtype=int)
+    crowd = np.empty(len(objs))
+    for rank, front in enumerate(non_dominated_sort(objs)):
+        ranks[front] = rank
+        crowd[front] = crowding_distance(objs[front])
+    return ranks, crowd
+
+
+def _assert_ranking_matches_reference(objs):
+    ranks, crowd = _rank_population(objs)
+    want_ranks, want_crowd = _per_front_ranking(objs)
+    assert np.array_equal(ranks, want_ranks)
+    assert np.array_equal(crowd, want_crowd)  # bitwise, infinities included
+
+
+def test_one_pass_ranking_equals_per_front_reference(rng):
+    for _ in range(200):
+        n = int(rng.integers(1, 257))
+        m = int(rng.integers(2, 4))
+        objs = rng.standard_normal((n, m))
+        if rng.random() < 0.5:
+            objs = np.round(objs, int(rng.integers(0, 2)))  # ties and duplicates
+        if rng.random() < 0.2:
+            objs[:, rng.integers(m)] = 1.5  # a flat column
+        _assert_ranking_matches_reference(objs)
+
+
+def test_one_pass_ranking_on_small_and_flat_fronts():
+    # fronts of one, two and three points, then a front of three equal points
+    objs = np.array(
+        [[9.0, 9.0], [8.0, 7.0], [7.0, 8.0], [6.0, 2.0], [4.0, 4.0], [2.0, 6.0]]
+        + [[1.0, 1.0]] * 3
+    )
+    assert [f.size for f in non_dominated_sort(objs)] == [1, 2, 3, 3]
+    _assert_ranking_matches_reference(objs)
+    _assert_ranking_matches_reference(np.ones((5, 3)))
+    _assert_ranking_matches_reference(np.array([[0.5, -1.0]]))
+
+
+def test_residue_index_flip_picks_the_choices_list_entry():
+    # a substitution draws r from 19 and writes r + (r >= current): the r-th
+    # residue other than the current one
+    for cur in range(len(ALPHABET)):
+        others = [aa for aa in ALPHABET if aa != ALPHABET[cur]]
+        for r in range(len(others)):
+            assert ALPHABET[r + (r >= cur)] == others[r]
 
 
 # ---------------------------------------------------------------------------
