@@ -484,30 +484,9 @@ class CampaignConfig:
         )
 
         prov_raw = section("providers")
-        path_keys = {
-            "embedding_path",
-            "coords_path",
-            "site_probs_path",
-            "distances_path",
-            "antibody_site_probs_path",
-            "antibody_distances_path",
-            "constraint_pssm_path",
-            "constraint_table_path",
-            "zero_shot_pssm_path",
-            "antibody_zero_shot_pssm_path",
-        }
-        allowed_prov = path_keys | {
-            "features",
-            "structure",
-            "antibody_structure",
-            "antibody_temperature",
-            "constraint",
-            "zero_shot",
-            "antibody_zero_shot",
-        }
-        _require_keys(prov_raw, allowed_prov, "providers")
-        for key in path_keys:
-            if key in prov_raw:
+        _require_keys(prov_raw, {f.name for f in dataclasses.fields(ProviderConfig)}, "providers")
+        for key in prov_raw:
+            if key.endswith("_path"):
                 prov_raw[key] = resolve(prov_raw[key])
         providers = ProviderConfig(**prov_raw)
 
@@ -842,6 +821,17 @@ def _space_size(length: int, max_sites: int) -> int:
     return sum(comb(length, k) * (len(ALPHABET) - 1) ** k for k in range(1, max_sites + 1))
 
 
+def _random_mutant(base: str, max_sites: int, rng: np.random.Generator) -> str:
+    """`base` with 1..max_sites distinct random sites each set to another residue."""
+    k = int(rng.integers(1, max_sites + 1))
+    positions = rng.choice(len(base), size=k, replace=False)
+    chars = list(base)
+    for pos in positions:
+        options = [aa for aa in ALPHABET if aa != base[pos]]
+        chars[pos] = options[rng.integers(len(options))]
+    return "".join(chars)
+
+
 def generate_pool(
     parental: str, size: int, rng: np.random.Generator, max_sites: int = 2
 ) -> list[str]:
@@ -854,13 +844,7 @@ def generate_pool(
     pool: list[str] = []
     seen = {parental}
     while len(pool) < size:
-        k = int(rng.integers(1, max_sites + 1))
-        positions = rng.choice(length, size=k, replace=False)
-        chars = list(parental)
-        for pos in positions:
-            options = [aa for aa in ALPHABET if aa != parental[pos]]
-            chars[pos] = options[rng.integers(len(options))]
-        candidate = "".join(chars)
+        candidate = _random_mutant(parental, max_sites, rng)
         if candidate not in seen:
             seen.add(candidate)
             pool.append(candidate)
@@ -869,14 +853,12 @@ def generate_pool(
 
 def _propose_random_mutants(
     bases: list[str],
-    parental: str,
     count: int,
     rng: np.random.Generator,
     exclude: set[str],
     max_sites: int = 3,
 ) -> list[str]:
     """Random 1..max_sites-site mutants of randomly chosen base sequences."""
-    length = len(parental)
     out: list[str] = []
     seen = set(exclude)
     attempts = 0
@@ -888,13 +870,7 @@ def _propose_random_mutants(
                 "the sequence space is too small for the requested batch size"
             )
         base = bases[int(rng.integers(len(bases)))]
-        k = int(rng.integers(1, max_sites + 1))
-        positions = rng.choice(length, size=k, replace=False)
-        chars = list(base)
-        for pos in positions:
-            options = [aa for aa in ALPHABET if aa != chars[pos]]
-            chars[pos] = options[rng.integers(len(options))]
-        candidate = "".join(chars)
+        candidate = _random_mutant(base, max_sites, rng)
         if candidate not in seen:
             seen.add(candidate)
             out.append(candidate)
@@ -1026,7 +1002,7 @@ def _run_round(
     if spec.kernel_kind == "none":
         rnd_rng = _derived_rng(repeat_seed, _TAG_RANDOM, round_index)
         acquired_seqs = _propose_random_mutants(
-            dataset.sequences, config.parental, q, rnd_rng, exclude=observed_set
+            dataset.sequences, q, rnd_rng, exclude=observed_set
         )
         likelihoods = constraint.pseudo_likelihoods(acquired_seqs)
         sel_records = [
@@ -1071,7 +1047,6 @@ def _run_round(
             pad_rng = _derived_rng(repeat_seed, _TAG_PAD, round_index)
             extra = _propose_random_mutants(
                 dataset.sequences,
-                config.parental,
                 q - len(candidates),
                 pad_rng,
                 exclude=observed_set | set(candidates),

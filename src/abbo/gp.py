@@ -3,7 +3,8 @@
 Inference is plain Cholesky: no inducing points, no stochastic tricks. The fit
 runs multi-start L-BFGS-B over transformed hyperparameters (log for positive
 parameters, logit for mixture weights, identity for prior-mean coefficients)
-with exact gradients assembled from the kernels' Gram derivatives.
+with exact gradients: the kernel contracts one weight matrix per evaluation
+(`Kernel.gram_grad_prepared`).
 
 A Tanimoto kernel under a constant mean is fitted in the spectral domain
 instead (the FaST-LMM reparameterisation, Lippert et al., Nature Methods
@@ -270,8 +271,14 @@ _LOG2PI = np.log(2.0 * np.pi)
 
 
 def _core(kernel, mean, noise, prep, mean_prep, y, want_grads):
-    """Log marginal likelihood (and raw-space gradients) at the current parameters."""
-    k, kgrads = kernel.gram_grad_prepared(prep)
+    """Log marginal likelihood (and raw-space gradients) at the current parameters.
+
+    With A = K + noise * I and alpha = A^-1 (y - m), every covariance
+    parameter's gradient is sum(W * dA/dtheta) for W = (alpha alpha^T - A^-1) / 2
+    (Rasmussen & Williams 2006, eq. 5.9): the kernel's contraction of W, and
+    trace(W) for the noise.
+    """
+    k, contract = kernel.gram_grad_prepared(prep)
     n = y.size
     a = k + noise * np.eye(n)
     chol, jitter = cholesky_with_jitter(a)
@@ -282,15 +289,13 @@ def _core(kernel, mean, noise, prep, mean_prep, y, want_grads):
     if not want_grads:
         return log_ml, {}, chol, alpha, jitter
 
-    a_inv = cho_solve((chol, True), np.eye(n))
-    grads: dict[str, float] = {}
-    for name, dk in kgrads.items():
-        grads[f"kernel.{name}"] = 0.5 * float(alpha @ (dk @ alpha)) - 0.5 * float(
-            np.sum(a_inv * dk)
-        )
+    w = np.outer(alpha, alpha)
+    w -= cho_solve((chol, True), np.eye(n))
+    w *= 0.5
+    grads = {f"kernel.{name}": g for name, g in contract(w).items()}
     for name, dm in mean.grads_prepared(mean_prep).items():
         grads[f"mean.{name}"] = float(dm @ alpha)
-    grads["noise.variance"] = 0.5 * float(alpha @ alpha) - 0.5 * float(np.trace(a_inv))
+    grads["noise.variance"] = float(np.trace(w))
     return log_ml, grads, chol, alpha, jitter
 
 
@@ -450,8 +455,7 @@ def fit_gp(
     mean_prep = mean.prepare(data.inputs)
     spectrum = None
     if isinstance(kernel, TanimotoKernel) and isinstance(mean, ConstantMean):
-        similarity = kernel.gram_grad_prepared(prep)[1]["variance"]  # dK/dvariance = S
-        spectrum = _TanimotoSpectrum(similarity, data.y)
+        spectrum = _TanimotoSpectrum(kernel.similarity(prep), data.y)
 
     free = space.free_param_names()
     kinds = {n: space.transform(n) for n in free}

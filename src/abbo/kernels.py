@@ -6,15 +6,22 @@ mutation kernel compares sets of substitutions through per-site probability
 and distance context. Sum and product combinators compose them.
 
 Every kernel exposes a flat, dotted hyperparameter namespace plus analytic
-Gram gradients so the GP can fit by L-BFGS with exact derivatives. All
-computation is double precision.
+Gram gradients so the GP can fit by L-BFGS with exact derivatives. The
+gradients come as one contract: `gram_grad_prepared` returns the Gram K and a
+`contract(W)` that gives sum(W * dK/dtheta) for every parameter theta, so no
+kernel builds an n x n derivative matrix per parameter. The fit passes
+W = (alpha alpha^T - A^-1) / 2, which turns each contraction into that
+parameter's log marginal likelihood gradient (Rasmussen & Williams 2006,
+eq. 5.9). The structure-aware kernel keeps its Gram and contraction in
+mutation-entry space: both are reductions of (E, E) entry blocks over the
+points that own the entries. All computation is double precision.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -199,6 +206,10 @@ class _Namespace:
         return _DEFAULT_BOUNDS[owner.transform(own_name)]
 
 
+# contract(W) -> {parameter: sum(W * dK/dparameter)} for one Gram K
+Contraction = Callable[[np.ndarray], dict[str, float]]
+
+
 class Kernel(_Namespace):
     """Base class: a hyperparameter namespace plus the Gram API."""
 
@@ -211,7 +222,14 @@ class Kernel(_Namespace):
     def gram_prepared(self, prep) -> np.ndarray:
         return self.gram_grad_prepared(prep)[0]
 
-    def gram_grad_prepared(self, prep) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    def gram_grad_prepared(self, prep) -> tuple[np.ndarray, Contraction]:
+        """The (n, n) Gram K of a prepared batch and its gradient contraction.
+
+        `contract(W)` takes an (n, n) weight matrix and returns, for every own
+        and child parameter theta (frozen ones too), the scalar
+        sum_ij W_ij dK_ij/dtheta at the parameter values K was built with.
+        Contracting with the unit matrix E_ij reads off one entry of dK/dtheta.
+        """
         raise NotImplementedError
 
     def cross_prepared(self, prep_a, prep_b) -> np.ndarray:
@@ -268,11 +286,15 @@ class TanimotoKernel(_VectorKernel):
         inner /= denom
         return inner
 
-    def gram_grad_prepared(self, prep):
+    def similarity(self, prep) -> np.ndarray:
+        """The unit-variance Gram S of a prepared batch: K = variance * S."""
         inner = prep @ prep.T
         sq = np.einsum("ij,ij->i", prep, prep)
-        sim = self._similarity(inner, sq, sq)
-        return self._values["variance"] * sim, {"variance": sim}
+        return self._similarity(inner, sq, sq)
+
+    def gram_grad_prepared(self, prep):
+        sim = self.similarity(prep)
+        return self._values["variance"] * sim, lambda w: {"variance": np.vdot(w, sim)}
 
     def cross_prepared(self, prep_a, prep_b) -> np.ndarray:
         inner = prep_a @ prep_b.T
@@ -323,7 +345,8 @@ class Matern52Kernel(_VectorKernel):
 
     def gram_grad_prepared(self, prep):
         k, dk_dell = self._eval(_sq_dists(prep, prep))
-        return k, {"variance": k / self._values["variance"], "lengthscale": dk_dell}
+        var = self._values["variance"]
+        return k, lambda w: {"variance": np.vdot(w, k) / var, "lengthscale": np.vdot(w, dk_dell)}
 
     def cross_prepared(self, prep_a, prep_b) -> np.ndarray:
         return self._eval(_sq_dists(prep_a, prep_b))[0]
@@ -355,8 +378,11 @@ class SquaredExponentialKernel(_VectorKernel):
     def gram_grad_prepared(self, prep):
         d2 = _sq_dists(prep, prep)
         k = self._eval(d2)
-        ell = self._values["lengthscale"]
-        return k, {"variance": k / self._values["variance"], "lengthscale": k * d2 / ell**3}
+        var, ell = self._values["variance"], self._values["lengthscale"]
+        return k, lambda w: {
+            "variance": np.vdot(w, k) / var,
+            "lengthscale": np.einsum("ij,ij,ij->", w, k, d2) / ell**3,
+        }
 
     def cross_prepared(self, prep_a, prep_b) -> np.ndarray:
         return self._eval(_sq_dists(prep_a, prep_b))
@@ -381,6 +407,19 @@ class _Combinator(Kernel):
     def prepare(self, inputs):
         return tuple(child.prepare(inputs) for _, child in self.children)
 
+    def _child_grams(self, prep) -> tuple[tuple[np.ndarray, ...], tuple[Contraction, ...]]:
+        """Each child's Gram, and each child's contraction."""
+        pairs = [child.gram_grad_prepared(p) for (_, child), p in zip(self.children, prep)]
+        return tuple(zip(*pairs))
+
+    def _contract_children(self, contracts, weights) -> dict[str, float]:
+        """Each child's contraction of its own weight matrix, under its label."""
+        return {
+            f"{lab}.{name}": g
+            for (lab, _), contract, w in zip(self.children, contracts, weights)
+            for name, g in contract(w).items()
+        }
+
 
 class SumKernel(_Combinator):
     """Weighted sum of child kernels; weights are fixed and nonnegative.
@@ -404,14 +443,9 @@ class SumKernel(_Combinator):
         self.weights = [float(w) for w in weights]
 
     def gram_grad_prepared(self, prep):
-        total = None
-        grads: dict[str, np.ndarray] = {}
-        for w, (lab, child), p in zip(self.weights, self.children, prep):
-            k, g = child.gram_grad_prepared(p)
-            total = w * k if total is None else total + w * k
-            for name, dk in g.items():
-                grads[f"{lab}.{name}"] = w * dk
-        return total, grads
+        grams, contracts = self._child_grams(prep)
+        total = sum(w * k for w, k in zip(self.weights, grams))
+        return total, lambda w: self._contract_children(contracts, [c * w for c in self.weights])
 
     def cross_prepared(self, prep_a, prep_b) -> np.ndarray:
         return sum(
@@ -430,27 +464,17 @@ class ProductKernel(_Combinator):
     """Elementwise product of child kernels."""
 
     def gram_grad_prepared(self, prep):
-        ks: list[np.ndarray] = []
-        gs: list[dict[str, np.ndarray]] = []
-        for (_, child), p in zip(self.children, prep):
-            k, g = child.gram_grad_prepared(p)
-            ks.append(k)
-            gs.append(g)
-        total = ks[0].copy()
-        for k in ks[1:]:
+        grams, contracts = self._child_grams(prep)
+        total = grams[0].copy()
+        for k in grams[1:]:
             total *= k
-        grads: dict[str, np.ndarray] = {}
-        for i, ((lab, _), g) in enumerate(zip(self.children, gs)):
-            rest = None
-            for j, k in enumerate(ks):
-                if j == i:
-                    continue
-                rest = k if rest is None else rest * k
-            if rest is None:
-                rest = np.ones_like(ks[i])
-            for name, dk in g.items():
-                grads[f"{lab}.{name}"] = rest * dk
-        return total, grads
+
+        def contract(w: np.ndarray) -> dict[str, float]:
+            # a child's derivative enters K times the other children's Grams
+            rest = [np.prod((w, *grams[:i], *grams[i + 1 :]), axis=0) for i in range(len(grams))]
+            return self._contract_children(contracts, rest)
+
+        return total, contract
 
     def cross_prepared(self, prep_a, prep_b) -> np.ndarray:
         out = None
@@ -489,11 +513,12 @@ def _hellinger_matrix(site_probs: np.ndarray) -> np.ndarray:
 @dataclass
 class _KermutPrepared:
     """A batch as its mutation entries (`KernelInputs.entries`); each entry
-    belongs to one point.
+    belongs to one point, its owner.
 
-    Cross and diagonal blocks work on the entries directly. Only the Gram of a
-    training batch reads the dense blocks, which `KermutKernel._gram_blocks`
-    builds on first use and keeps here.
+    Every Kermut block works on the entries: an (E_a, E_b) entry kernel summed
+    over the owners of each side (`_owner_sum`). A Gram reuses its (E, E)
+    entry distances across the fit's evaluations, so `KermutKernel._gram_blocks`
+    builds them on first use and keeps them here; a query batch never does.
     """
 
     seq_prep: object
@@ -501,7 +526,7 @@ class _KermutPrepared:
     positions: np.ndarray  # (E,) site index of every mutation entry
     sub_probs: np.ndarray  # (E,) context probability of each substituted residue
     owners: np.ndarray  # (E,) index of the point each entry belongs to, nondecreasing
-    blocks: tuple[np.ndarray, ...] | None = None  # incidence (n, E), hh, pp, dd (E, E)
+    blocks: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None  # hh, pp, dd (E, E)
 
 
 # largest (E_a, E_b) entry block a cross evaluation holds at once, in elements
@@ -522,6 +547,13 @@ def _segment_sum(x: np.ndarray, owners: np.ndarray, n: int, axis: int) -> np.nda
     return out
 
 
+def _owner_sum(t: np.ndarray, owners_a: np.ndarray, n_a: int, owners_b: np.ndarray, n_b: int):
+    """The (n_a, n_b) block of an (E_a, E_b) entry block: each entry pair
+    summed into its owners' slot, which is C_a t C_b^T for the incidence
+    matrices C of the two sides."""
+    return _segment_sum(_segment_sum(t, owners_a, n_a, axis=0), owners_b, n_b, axis=1)
+
+
 class KermutKernel(Kernel):
     """Structure-aware mutation-set kernel blended with a sequence kernel.
 
@@ -534,11 +566,15 @@ class KermutKernel(Kernel):
     0 whenever either mutation set is empty. A point's mutations are read from
     its residues against the batch's parental (`KernelInputs.entries`).
 
-    The Gram of a training batch (the fit) uses dense (E, E) entry blocks and
-    an incidence matrix, built once per prepared batch. A query batch (the
-    posterior) stays in entry space: its cross block is the (E_a, E_b) entry
-    kernel summed over the owners of each entry, and its diagonal sums only
-    the entry pairs within each point.
+    Everything stays in entry space. The structural Gram of a training batch
+    is its (E, E) entry kernel t summed over the owners of both entries; its
+    distance blocks are built once per prepared batch. The gradient
+    contraction gathers W[owners][:, owners] once and contracts it with t
+    times each block for the gamma derivatives; the sequence kernel gets
+    variance * (1 - mix) * W. A query batch (the posterior) builds no (E, E)
+    block: its cross block is the (E_a, E_b) entry kernel summed over the
+    owners in slabs, and its diagonal sums only the entry pairs within each
+    point.
     """
 
     _TRANSFORMS = {"mix": "logit"}
@@ -601,13 +637,12 @@ class KermutKernel(Kernel):
         )
 
     def _gram_blocks(self, prep: _KermutPrepared) -> tuple[np.ndarray, ...]:
-        """The dense incidence and (E, E) entry blocks of a Gram, built once per prep."""
+        """The (E, E) entry distances (hh, pp, dd) of a Gram, built once per prep."""
         if prep.blocks is None:
             pos, probs = prep.positions, prep.sub_probs
-            incidence = np.zeros((prep.n, pos.size))
-            incidence[prep.owners, np.arange(pos.size)] = 1.0
-            blocks = self._entry_distances(pos[:, None], probs[:, None], pos[None, :], probs[None, :])
-            prep.blocks = (incidence, *blocks)
+            prep.blocks = self._entry_distances(
+                pos[:, None], probs[:, None], pos[None, :], probs[None, :]
+            )
         return prep.blocks
 
     def _entry_distances(self, pos_a, probs_a, pos_b, probs_b) -> tuple[np.ndarray, ...]:
@@ -624,27 +659,30 @@ class KermutKernel(Kernel):
         return np.exp(-v["gamma_h"] * hh - v["gamma_p"] * pp - v["gamma_d"] * dd)
 
     def gram_grad_prepared(self, prep: _KermutPrepared):
-        v = self._values
-        c, hh, pp, dd = self._gram_blocks(prep)
+        v = dict(self._values)  # the contraction's parameters are those of this Gram
+        hh, pp, dd = self._gram_blocks(prep)
         t = self._entry_kernel(hh, pp, dd)
-        k_struct = c @ t @ c.T
-        k_seq, seq_grads = self.seq_kernel.gram_grad_prepared(prep.seq_prep)
+        owners, n = prep.owners, prep.n
+        k_struct = _owner_sum(t, owners, n, owners, n)
+        k_seq, seq_contract = self.seq_kernel.gram_grad_prepared(prep.seq_prep)
         k = v["variance"] * (v["mix"] * k_struct + (1.0 - v["mix"]) * k_seq)
-        grads = {
-            "variance": v["mix"] * k_struct + (1.0 - v["mix"]) * k_seq,
-            "mix": v["variance"] * (k_struct - k_seq),
-            "gamma_h": -v["variance"] * v["mix"] * (c @ (hh * t) @ c.T),
-            "gamma_p": -v["variance"] * v["mix"] * (c @ (pp * t) @ c.T),
-            "gamma_d": -v["variance"] * v["mix"] * (c @ (dd * t) @ c.T),
-        }
-        scale = v["variance"] * (1.0 - v["mix"])
-        for name, dk in seq_grads.items():
-            grads[f"seq.{name}"] = scale * dk
-        return k, grads
+
+        def contract(w: np.ndarray) -> dict[str, float]:
+            seq_w = v["variance"] * (1.0 - v["mix"]) * w
+            grads = {f"seq.{name}": g for name, g in seq_contract(seq_w).items()}
+            w_struct, w_seq = np.vdot(w, k_struct), np.vdot(w, k_seq)
+            grads["variance"] = v["mix"] * w_struct + (1.0 - v["mix"]) * w_seq
+            grads["mix"] = v["variance"] * (w_struct - w_seq)
+            wt = w[owners][:, owners] * t  # sum(w * C X C^T) = sum(w[owners][:, owners] * X)
+            for name, block in (("gamma_h", hh), ("gamma_p", pp), ("gamma_d", dd)):
+                grads[name] = -v["variance"] * v["mix"] * np.vdot(wt, block)
+            return grads
+
+        return k, contract
 
     def cross_prepared(self, prep_a: _KermutPrepared, prep_b: _KermutPrepared) -> np.ndarray:
-        """Cross block from the (E_a, E_b) entry kernel, segment-summed over
-        the owners of each side; no incidence matrix is built.
+        """Cross block from the (E_a, E_b) entry kernel, summed over the
+        owners of each side (`_owner_sum`).
 
         The points of b are taken in slabs whose entry block holds at most
         about `_ENTRY_BLOCK` elements, so memory stays bounded for any batch.
@@ -663,8 +701,9 @@ class KermutKernel(Kernel):
                     pos_a, probs_a, prep_b.positions[None, e0:e1], prep_b.sub_probs[None, e0:e1]
                 )
             )
-            rows = _segment_sum(t, prep_a.owners, prep_a.n, axis=0)
-            k_struct[:, j0:j1] = _segment_sum(rows, prep_b.owners[e0:e1] - j0, j1 - j0, axis=1)
+            k_struct[:, j0:j1] = _owner_sum(
+                t, prep_a.owners, prep_a.n, prep_b.owners[e0:e1] - j0, j1 - j0
+            )
         k_seq = self.seq_kernel.cross_prepared(prep_a.seq_prep, prep_b.seq_prep)
         return v["variance"] * (v["mix"] * k_struct + (1.0 - v["mix"]) * k_seq)
 

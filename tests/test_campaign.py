@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import gc
 import warnings
 
@@ -12,6 +13,7 @@ from abbo.campaign import (
     FixtureOracle,
     OracleConfig,
     ProtocolConfig,
+    ProviderConfig,
     SyntheticOracle,
     generate_pool,
     registered_method_names,
@@ -289,6 +291,28 @@ def test_fixture_root_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("ABBO_FIXTURE_ROOT", str(fixture_dir))
     config = CampaignConfig.from_yaml(config_path)
     assert config.oracle.table_path == str(fixture_dir / "oracle.csv")
+
+
+@pytest.mark.parametrize("fixture_root", [False, True])
+def test_every_provider_path_key_is_resolved(tmp_path, monkeypatch, fixture_root):
+    path_keys = [f.name for f in dataclasses.fields(ProviderConfig) if f.name.endswith("_path")]
+    assert {"embedding_path", "site_probs_path", "antibody_zero_shot_pssm_path"} <= set(path_keys)
+    config_path = tmp_path / "configs" / "config.yaml"
+    config_path.parent.mkdir()
+    config_path.write_text(
+        yaml.safe_dump(
+            {"parental": PARENTAL, "providers": {key: f"{key}.npy" for key in path_keys}}
+        )
+    )
+    base = config_path.parent
+    if fixture_root:
+        base = tmp_path / "fixtures"
+        monkeypatch.setenv("ABBO_FIXTURE_ROOT", str(base))
+    else:
+        monkeypatch.delenv("ABBO_FIXTURE_ROOT", raising=False)
+    providers = CampaignConfig.from_yaml(config_path).providers
+    for key in path_keys:
+        assert getattr(providers, key) == str(base / f"{key}.npy"), key
 
 
 # ---------------------------------------------------------------------------

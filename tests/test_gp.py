@@ -236,7 +236,7 @@ class TestSpectralTanimoto:
     def _data(self, rng, n=25):
         data = _make_dataset(rng, n)
         kernel = TanimotoKernel("onehot")
-        similarity = kernel.gram_grad_prepared(kernel.prepare(data.inputs))[1]["variance"]
+        similarity = kernel.similarity(kernel.prepare(data.inputs))
         return data, gp_module._TanimotoSpectrum(similarity, data.y)
 
     def test_value_and_gradients_match_dense(self, rng):

@@ -31,6 +31,21 @@ from conftest import (
 PARENTAL = "MKTAYIAKQRQISFVKSHFSRQ"
 
 
+def dense_gradients(kernel, prep) -> dict[str, np.ndarray]:
+    """Every parameter's whole dK/dtheta, read off the kernel's contraction
+    one entry at a time: contracting with the unit matrix E_ij gives dK_ij/dtheta."""
+    gram, contract = kernel.gram_grad_prepared(prep)
+    n = len(gram)
+    out: dict[str, np.ndarray] = {}
+    for i in range(n):
+        for j in range(n):
+            unit = np.zeros((n, n))
+            unit[i, j] = 1.0
+            for name, value in contract(unit).items():
+                out.setdefault(name, np.zeros((n, n)))[i, j] = value
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the input batch
 
@@ -174,7 +189,7 @@ def test_gram_gradients_match_finite_differences(rng):
     inputs = vector_inputs(rng, 5, 4, "x")
     for kernel in (Matern52Kernel("x", 1.7, 0.6), SquaredExponentialKernel("x", 0.9, 1.4)):
         prep = kernel.prepare(inputs)
-        _, grads = kernel.gram_grad_prepared(prep)
+        grads = dense_gradients(kernel, prep)
         for name in kernel.params():
             base = kernel.params()[name]
 
@@ -193,8 +208,9 @@ def test_tanimoto_variance_gradient_is_unit_gram(rng):
     inputs = vector_inputs(rng, 4, 3, "x", nonneg=True)
     kernel = TanimotoKernel("x", variance=2.0)
     prep = kernel.prepare(inputs)
-    gram, grads = kernel.gram_grad_prepared(prep)
-    assert np.allclose(grads["variance"] * 2.0, gram)
+    grads = dense_gradients(kernel, prep)
+    assert np.allclose(grads["variance"] * 2.0, kernel.gram_prepared(prep))
+    assert np.array_equal(kernel.similarity(prep), grads["variance"])
 
 
 # ---------------------------------------------------------------------------
@@ -232,19 +248,23 @@ def test_combinator_parameter_namespacing(rng):
 
 def test_combinator_gradients_match_finite_differences(rng):
     inputs = _two_field_inputs(rng, 4)
-    kernel = SumKernel([("t", TanimotoKernel("a")), ("m", Matern52Kernel("b"))], [0.7, 0.3])
-    prep = kernel.prepare(inputs)
-    _, grads = kernel.gram_grad_prepared(prep)
-    for name, base in kernel.params().items():
-        def gram_at(v, _n=name):
-            kernel.set_param(_n, v)
-            out = kernel.gram_prepared(prep)
-            kernel.set_param(_n, base)
-            return out
+    for kernel in (
+        SumKernel([("t", TanimotoKernel("a")), ("m", Matern52Kernel("b"))], [0.7, 0.3]),
+        ProductKernel([("t", TanimotoKernel("a", 1.3)), ("m", Matern52Kernel("b", 0.8, 1.6))]),
+    ):
+        prep = kernel.prepare(inputs)
+        grads = dense_gradients(kernel, prep)
+        for name, base in kernel.params().items():
 
-        h = 1e-6 * max(abs(base), 1.0)
-        fd = (gram_at(base + h) - gram_at(base - h)) / (2.0 * h)
-        assert np.allclose(grads[name], fd, rtol=1e-5, atol=1e-8), name
+            def gram_at(v, _n=name, _kernel=kernel, _prep=prep, _base=base):
+                _kernel.set_param(_n, v)
+                out = _kernel.gram_prepared(_prep)
+                _kernel.set_param(_n, _base)
+                return out
+
+            h = 1e-6 * max(abs(base), 1.0)
+            fd = (gram_at(base + h) - gram_at(base - h)) / (2.0 * h)
+            assert np.allclose(grads[name], fd, rtol=1e-5, atol=1e-8), (type(kernel).__name__, name)
 
 
 # ---------------------------------------------------------------------------
@@ -268,24 +288,37 @@ def kermut(rng):
 
 
 def test_kermut_gram_matches_scalar_reference(kermut):
-    kernel, context, seqs, inputs = kermut
-    gram = kernel.gram(inputs)
+    kernel, context, drawn, drawn_inputs = kermut
+    # the drawn batch starts with the parental; the second has it between
+    # points that own entries (an owner with none) and one design twice,
+    # where the owners' segment sums can go wrong
+    mid = [drawn[1], drawn[2], drawn[0], drawn[3], drawn[5], drawn[2]]
     params = kernel.params()
     var, mix = params["variance"], params["mix"]
+    gammas = {name: params[name] for name in ("gamma_h", "gamma_p", "gamma_d")}
     onehot = one_hot_matrix()
-    for i, a in enumerate(seqs):
-        for j, b in enumerate(seqs):
-            struct = kermut_struct(
-                diff(PARENTAL, a),
-                diff(PARENTAL, b),
-                context,
-                gamma_h=params["gamma_h"],
-                gamma_p=params["gamma_p"],
-                gamma_d=params["gamma_d"],
-            )
-            seq = tanimoto(encode(a, onehot), encode(b, onehot))
-            expected = var * (mix * struct + (1.0 - mix) * seq)
-            assert gram[i, j] == pytest.approx(expected, abs=1e-12), (i, j)
+
+    def struct_at(a, b, **change):
+        return kermut_struct(diff(PARENTAL, a), diff(PARENTAL, b), context, **{**gammas, **change})
+
+    for seqs, inputs in [(drawn, drawn_inputs), (mid, sequence_inputs(mid, PARENTAL, onehot))]:
+        prep = kernel.prepare(inputs)
+        gram = kernel.gram_prepared(prep)
+        grads = dense_gradients(kernel, prep)
+        for i, a in enumerate(seqs):
+            for j, b in enumerate(seqs):
+                struct = struct_at(a, b)
+                seq = tanimoto(encode(a, onehot), encode(b, onehot))
+                expected = var * (mix * struct + (1.0 - mix) * seq)
+                assert gram[i, j] == pytest.approx(expected, abs=1e-12), (i, j)
+                assert grads["variance"][i, j] == pytest.approx(expected / var, abs=1e-12)
+                assert grads["mix"][i, j] == pytest.approx(var * (struct - seq), abs=1e-12)
+                for name, base in gammas.items():
+                    d_struct = central_difference(
+                        lambda g, _name=name: struct_at(a, b, **{_name: g}), base, 1e-6
+                    )
+                    want = var * mix * d_struct
+                    assert grads[name][i, j] == pytest.approx(want, abs=1e-8), (name, i, j)
 
 
 def test_kermut_diag_and_cross_consistent(kermut):
@@ -310,7 +343,7 @@ def test_kermut_entry_space_cross_and_diag_match_double_sum(kermut, rng, monkeyp
     prep_q = kernel.prepare(query)
     cross = kernel.cross_prepared(kernel.prepare(train), prep_q)
     diag = kernel.diag_prepared(prep_q)
-    assert prep_q.blocks is None  # no dense incidence or (E, E) block for the queries
+    assert prep_q.blocks is None  # no (E, E) block for the queries
     params = kernel.params()
     var, mix = params["variance"], params["mix"]
     gammas = {name: params[name] for name in ("gamma_h", "gamma_p", "gamma_d")}
@@ -349,7 +382,7 @@ def test_kermut_child_variance_is_pinned(kermut):
 def test_kermut_gradients_match_finite_differences(kermut):
     kernel, _, _, inputs = kermut
     prep = kernel.prepare(inputs)
-    _, grads = kernel.gram_grad_prepared(prep)
+    grads = dense_gradients(kernel, prep)
     for name in kernel.free_param_names():
         base = kernel.params()[name]
 

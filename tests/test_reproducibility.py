@@ -8,7 +8,8 @@ with
 
     PYTHONPATH=src python3 tests/test_reproducibility.py
 
-and paste them into GOLDEN and GOLDEN_FIT.
+and paste them into GOLDEN and GOLDEN_FIT. The script also names the entries
+that differ from the committed ones, the cases a re-baseline moves.
 """
 
 from __future__ import annotations
@@ -47,23 +48,23 @@ GOLDEN = {
     "BLO-T": "3b0c25755b8459c1",
     "ESM-M": "632319b3d91e3103",
     "IgFold-BLO-T": "0b3b6af63e6273ca",
-    "Kermut-T": "6ac80b2c9437e053",
+    "Kermut-T": "4e25acad9bf665a7",
     "C-OneHot-T": "9a5cbe89e7212de5",
     "Random": "36d7a5bc543d6ceb",
     "C-Kermut-BLO-T": "48a337f7059ae10f",
-    "Const-Kermut-T": "88f6f9258f834f87",
+    "Const-Kermut-T": "87bfdeff412a0bd2",
 }
 
 # The same campaigns' fits: each round's hyperparameters and log ML.
 GOLDEN_FIT = {
     "BLO-T": "6b3b6c9969a0c943",
-    "ESM-M": "cb1c404d63f11fa0",
-    "IgFold-BLO-T": "9889e7bc38285467",
-    "Kermut-T": "00ff5a7e2ca4078e",
+    "ESM-M": "9bfad3a0502eb3eb",
+    "IgFold-BLO-T": "a4b68f951f73c645",
+    "Kermut-T": "ec3b162297e4f1b4",
     "C-OneHot-T": "335f279ad415bf4d",
     "Random": "66e529d14e5ed948",
-    "C-Kermut-BLO-T": "26ce58045ad6089f",
-    "Const-Kermut-T": "9d92c7d2d16ade42",
+    "C-Kermut-BLO-T": "ae29d14c9f554a34",
+    "Const-Kermut-T": "4bbc6dbab5969f25",
 }
 
 
@@ -226,8 +227,16 @@ def test_missing_thread_control_warns_once_and_runs(monkeypatch):
 
 
 if __name__ == "__main__":
-    for name, digest in (("GOLDEN", design_digest), ("GOLDEN_FIT", fit_digest)):
+    moved = []
+    for name, committed, digest in (
+        ("GOLDEN", GOLDEN, design_digest),
+        ("GOLDEN_FIT", GOLDEN_FIT, fit_digest),
+    ):
         print(f"{name} = {{")
-        for method in GOLDEN:
-            print(f"    {method!r}: {digest(golden_log(method))!r},")
+        for method in committed:
+            value = digest(golden_log(method))
+            print(f"    {method!r}: {value!r},")
+            if value != committed[method]:
+                moved.append(f"{name}[{method!r}]")
         print("}")
+    print(f"# differ from the committed values: {', '.join(moved) or 'none'}")
