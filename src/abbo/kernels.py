@@ -15,13 +15,20 @@ parameter's log marginal likelihood gradient (Rasmussen & Williams 2006,
 eq. 5.9). The structure-aware kernel keeps its Gram and contraction in
 mutation-entry space: both are reductions of (E, E) entry blocks over the
 points that own the entries. All computation is double precision.
+
+What a Gram needs that no parameter touches (Tanimoto's unit-variance
+similarity, Matern's distances, the squared exponential's squared distances,
+Kermut's entry distances) is built on the first Gram of a prepared batch and
+kept on it, so a fit builds it once and each evaluation applies only the
+parameters. Cross and diagonal blocks, whose query batch is used once, keep
+nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -252,6 +259,20 @@ class Kernel(_Namespace):
 # vector kernels
 
 
+@dataclass
+class _VectorPrepared:
+    """A batch's (n, d) field matrix for one vector kernel.
+
+    A Gram's parameter-free (n, n) structure (`_VectorKernel._structure`) is
+    the same at every evaluation of a fit, so `_VectorKernel._block` builds it
+    on the first Gram of the batch and keeps it here; a query batch never
+    does.
+    """
+
+    x: np.ndarray
+    block: np.ndarray | None = None
+
+
 class _VectorKernel(Kernel):
     """Shared plumbing for kernels operating on a single stacked vector field."""
 
@@ -259,8 +280,18 @@ class _VectorKernel(Kernel):
         super().__init__()
         self.field_name = field_name
 
-    def prepare(self, inputs) -> np.ndarray:
-        return _stack(inputs, self.field_name)
+    def prepare(self, inputs) -> _VectorPrepared:
+        return _VectorPrepared(_stack(inputs, self.field_name))
+
+    def _structure(self, x: np.ndarray) -> np.ndarray:
+        """The (n, n) part of the Gram of rows x that no parameter touches."""
+        raise NotImplementedError
+
+    def _block(self, prep: _VectorPrepared) -> np.ndarray:
+        """The batch's `_structure`, built once per prepared batch."""
+        if prep.block is None:
+            prep.block = self._structure(prep.x)
+        return prep.block
 
 
 class TanimotoKernel(_VectorKernel):
@@ -286,29 +317,36 @@ class TanimotoKernel(_VectorKernel):
         inner /= denom
         return inner
 
-    def similarity(self, prep) -> np.ndarray:
-        """The unit-variance Gram S of a prepared batch: K = variance * S."""
-        inner = prep @ prep.T
-        sq = np.einsum("ij,ij->i", prep, prep)
+    def _structure(self, x: np.ndarray) -> np.ndarray:
+        inner = x @ x.T
+        sq = np.einsum("ij,ij->i", x, x)
         return self._similarity(inner, sq, sq)
 
-    def gram_grad_prepared(self, prep):
-        sim = self.similarity(prep)
+    def similarity(self, prep: _VectorPrepared) -> np.ndarray:
+        """The unit-variance Gram S of a prepared batch: K = variance * S.
+
+        This is the array kept on the batch: read it, do not write to it.
+        """
+        return self._block(prep)
+
+    def gram_grad_prepared(self, prep: _VectorPrepared):
+        sim = self._block(prep)
         return self._values["variance"] * sim, lambda w: {"variance": np.vdot(w, sim)}
 
-    def cross_prepared(self, prep_a, prep_b) -> np.ndarray:
-        inner = prep_a @ prep_b.T
-        sq_a = np.einsum("ij,ij->i", prep_a, prep_a)
-        sq_b = np.einsum("ij,ij->i", prep_b, prep_b)
+    def cross_prepared(self, prep_a: _VectorPrepared, prep_b: _VectorPrepared) -> np.ndarray:
+        a, b = prep_a.x, prep_b.x
+        inner = a @ b.T
+        sq_a = np.einsum("ij,ij->i", a, a)
+        sq_b = np.einsum("ij,ij->i", b, b)
         k = self._similarity(inner, sq_a, sq_b)
         k *= self._values["variance"]
         return k
 
-    def diag_prepared(self, prep) -> np.ndarray:
-        sq = np.einsum("ij,ij->i", prep, prep)
+    def diag_prepared(self, prep: _VectorPrepared) -> np.ndarray:
+        sq = np.einsum("ij,ij->i", prep.x, prep.x)
         if np.any(sq <= 0):
             raise ValueError("Tanimoto undefined for zero vectors")
-        return np.full(prep.shape[0], self._values["variance"])
+        return np.full(prep.x.shape[0], self._values["variance"])
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -334,25 +372,28 @@ class Matern52Kernel(_VectorKernel):
         self.set_param("variance", variance)
         self.set_param("lengthscale", lengthscale)
 
-    def _eval(self, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _eval(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         var = self._values["variance"]
         ell = self._values["lengthscale"]
-        s = np.sqrt(d2) / ell
+        s = r / ell
         decay = np.exp(-_SQRT5 * s)
         k = var * (1.0 + _SQRT5 * s + (5.0 / 3.0) * s**2) * decay
         dk_dell = var * (5.0 / 3.0) * s**2 * (1.0 + _SQRT5 * s) * decay / ell
         return k, dk_dell
 
-    def gram_grad_prepared(self, prep):
-        k, dk_dell = self._eval(_sq_dists(prep, prep))
+    def _structure(self, x: np.ndarray) -> np.ndarray:
+        return np.sqrt(_sq_dists(x, x))
+
+    def gram_grad_prepared(self, prep: _VectorPrepared):
+        k, dk_dell = self._eval(self._block(prep))
         var = self._values["variance"]
         return k, lambda w: {"variance": np.vdot(w, k) / var, "lengthscale": np.vdot(w, dk_dell)}
 
-    def cross_prepared(self, prep_a, prep_b) -> np.ndarray:
-        return self._eval(_sq_dists(prep_a, prep_b))[0]
+    def cross_prepared(self, prep_a: _VectorPrepared, prep_b: _VectorPrepared) -> np.ndarray:
+        return self._eval(np.sqrt(_sq_dists(prep_a.x, prep_b.x)))[0]
 
-    def diag_prepared(self, prep) -> np.ndarray:
-        return np.full(prep.shape[0], self._values["variance"])
+    def diag_prepared(self, prep: _VectorPrepared) -> np.ndarray:
+        return np.full(prep.x.shape[0], self._values["variance"])
 
 
 class SquaredExponentialKernel(_VectorKernel):
@@ -375,8 +416,11 @@ class SquaredExponentialKernel(_VectorKernel):
         ell = self._values["lengthscale"]
         return self._values["variance"] * np.exp(-0.5 * d2 / ell**2)
 
-    def gram_grad_prepared(self, prep):
-        d2 = _sq_dists(prep, prep)
+    def _structure(self, x: np.ndarray) -> np.ndarray:
+        return _sq_dists(x, x)
+
+    def gram_grad_prepared(self, prep: _VectorPrepared):
+        d2 = self._block(prep)
         k = self._eval(d2)
         var, ell = self._values["variance"], self._values["lengthscale"]
         return k, lambda w: {
@@ -384,11 +428,11 @@ class SquaredExponentialKernel(_VectorKernel):
             "lengthscale": np.einsum("ij,ij,ij->", w, k, d2) / ell**3,
         }
 
-    def cross_prepared(self, prep_a, prep_b) -> np.ndarray:
-        return self._eval(_sq_dists(prep_a, prep_b))
+    def cross_prepared(self, prep_a: _VectorPrepared, prep_b: _VectorPrepared) -> np.ndarray:
+        return self._eval(_sq_dists(prep_a.x, prep_b.x))
 
-    def diag_prepared(self, prep) -> np.ndarray:
-        return np.full(prep.shape[0], self._values["variance"])
+    def diag_prepared(self, prep: _VectorPrepared) -> np.ndarray:
+        return np.full(prep.x.shape[0], self._values["variance"])
 
 
 # ---------------------------------------------------------------------------
@@ -510,23 +554,36 @@ def _hellinger_matrix(site_probs: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(deltas**2, axis=-1)) / np.sqrt(2.0)
 
 
+class _GramBlocks(NamedTuple):
+    """The parameter-free entry structure of a Kermut Gram: the distances
+    (hh, pp, dd) between all (E, E) entry pairs, the same between the U
+    distinct (site, substituted residue) entries, and each entry's row among
+    the distinct ones."""
+
+    full: tuple[np.ndarray, np.ndarray, np.ndarray]
+    distinct: tuple[np.ndarray, np.ndarray, np.ndarray]
+    inverse: np.ndarray
+
+
 @dataclass
 class _KermutPrepared:
     """A batch as its mutation entries (`KernelInputs.entries`); each entry
     belongs to one point, its owner.
 
     Every Kermut block works on the entries: an (E_a, E_b) entry kernel summed
-    over the owners of each side (`_owner_sum`). A Gram reuses its (E, E)
-    entry distances across the fit's evaluations, so `KermutKernel._gram_blocks`
-    builds them on first use and keeps them here; a query batch never does.
+    over the owners of each side (`_owner_sum`). A Gram's entry distances are
+    the same at every evaluation of a fit, so `KermutKernel.gram_grad_prepared`
+    builds them (`_gram_blocks`) on the first Gram of the batch and keeps them
+    here; a query batch never does.
     """
 
     seq_prep: object
     n: int
     positions: np.ndarray  # (E,) site index of every mutation entry
+    residues: np.ndarray  # (E,) alphabet index of each substituted residue
     sub_probs: np.ndarray  # (E,) context probability of each substituted residue
     owners: np.ndarray  # (E,) index of the point each entry belongs to, nondecreasing
-    blocks: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None  # hh, pp, dd (E, E)
+    blocks: _GramBlocks | None = None
 
 
 # largest (E_a, E_b) entry block a cross evaluation holds at once, in elements
@@ -567,10 +624,15 @@ class KermutKernel(Kernel):
     its residues against the batch's parental (`KernelInputs.entries`).
 
     Everything stays in entry space. The structural Gram of a training batch
-    is its (E, E) entry kernel t summed over the owners of both entries; its
-    distance blocks are built once per prepared batch. The gradient
-    contraction gathers W[owners][:, owners] once and contracts it with t
-    times each block for the gamma derivatives; the sequence kernel gets
+    is its (E, E) entry kernel t summed over the owners of both entries. Its
+    parameter-free distance blocks, between all entry pairs and between the U
+    distinct (site, substituted residue) entries, are built on the batch's
+    first Gram and kept on the prepared batch (`_GramBlocks`), so an
+    evaluation takes the exponential over the U x U distinct pairs only and
+    gathers it back to the entries; that is exact, as each element is the
+    same expression of the same three distances. The gradient contraction
+    gathers W[owners][:, owners] once and contracts it with t times each
+    (E, E) block for the gamma derivatives; the sequence kernel gets
     variance * (1 - mix) * W. A query batch (the posterior) builds no (E, E)
     block: its cross block is the (E_a, E_b) entry kernel summed over the
     owners in slabs, and its diagonal sums only the entry pairs within each
@@ -632,18 +694,24 @@ class KermutKernel(Kernel):
             seq_prep=self.seq_kernel.prepare(inputs),
             n=len(inputs),
             positions=positions,
+            residues=residues,
             sub_probs=self.context.site_probs[positions, residues],
             owners=owners,
         )
 
-    def _gram_blocks(self, prep: _KermutPrepared) -> tuple[np.ndarray, ...]:
-        """The (E, E) entry distances (hh, pp, dd) of a Gram, built once per prep."""
-        if prep.blocks is None:
-            pos, probs = prep.positions, prep.sub_probs
-            prep.blocks = self._entry_distances(
-                pos[:, None], probs[:, None], pos[None, :], probs[None, :]
-            )
-        return prep.blocks
+    def _gram_blocks(self, prep: _KermutPrepared) -> _GramBlocks:
+        """The entry distances of a Gram of the batch, and of its distinct entries."""
+        pos, probs = prep.positions, prep.sub_probs
+        keys = pos * self.context.site_probs.shape[1] + prep.residues
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        pos_u, probs_u = pos[first], probs[first]
+        return _GramBlocks(
+            self._entry_distances(pos[:, None], probs[:, None], pos[None, :], probs[None, :]),
+            self._entry_distances(
+                pos_u[:, None], probs_u[:, None], pos_u[None, :], probs_u[None, :]
+            ),
+            inverse,
+        )
 
     def _entry_distances(self, pos_a, probs_a, pos_b, probs_b) -> tuple[np.ndarray, ...]:
         """(hh, pp, dd) between entries a and b: a block when the arguments
@@ -660,10 +728,19 @@ class KermutKernel(Kernel):
 
     def gram_grad_prepared(self, prep: _KermutPrepared):
         v = dict(self._values)  # the contraction's parameters are those of this Gram
-        hh, pp, dd = self._gram_blocks(prep)
-        t = self._entry_kernel(hh, pp, dd)
-        owners, n = prep.owners, prep.n
-        k_struct = _owner_sum(t, owners, n, owners, n)
+        if prep.blocks is None:  # built on the batch's first Gram, kept for the fit
+            prep.blocks = self._gram_blocks(prep)
+        blocks = prep.blocks
+        hh, pp, dd = blocks.full
+        inv, owners, n = blocks.inverse, prep.owners, prep.n
+        # The entry kernel on the distinct entries, gathered to each entry's
+        # row; gathering the columns too gives the (E, E) entry kernel t,
+        # bitwise that of the full blocks (hh, pp, dd), since every element is
+        # the same expression of the same three distances. The owner sum runs
+        # over the rows before the columns are gathered: each column is
+        # summed exactly as in _owner_sum(t), the U distinct ones once.
+        rows = self._entry_kernel(*blocks.distinct)[inv]
+        k_struct = _segment_sum(_segment_sum(rows, owners, n, axis=0)[:, inv], owners, n, axis=1)
         k_seq, seq_contract = self.seq_kernel.gram_grad_prepared(prep.seq_prep)
         k = v["variance"] * (v["mix"] * k_struct + (1.0 - v["mix"]) * k_seq)
 
@@ -673,7 +750,11 @@ class KermutKernel(Kernel):
             w_struct, w_seq = np.vdot(w, k_struct), np.vdot(w, k_seq)
             grads["variance"] = v["mix"] * w_struct + (1.0 - v["mix"]) * w_seq
             grads["mix"] = v["variance"] * (w_struct - w_seq)
-            wt = w[owners][:, owners] * t  # sum(w * C X C^T) = sum(w[owners][:, owners] * X)
+            # sum(w * C X C^T) = sum(w[owners][:, owners] * X), here for
+            # X = t * block; `take` keeps wt C-ordered, which np.vdot reads
+            # without a copy
+            wt = w[owners].take(owners, axis=1)
+            wt *= rows.take(inv, axis=1)
             for name, block in (("gamma_h", hh), ("gamma_p", pp), ("gamma_d", dd)):
                 grads[name] = -v["variance"] * v["mix"] * np.vdot(wt, block)
             return grads

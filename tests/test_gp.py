@@ -16,7 +16,14 @@ from abbo.gp import (
     log_marginal_likelihood_with_grads,
     zero_shot_score,
 )
-from abbo.kernels import KermutKernel, KernelInputs, Matern52Kernel, SumKernel, TanimotoKernel
+from abbo.kernels import (
+    KermutKernel,
+    KernelInputs,
+    Matern52Kernel,
+    SquaredExponentialKernel,
+    SumKernel,
+    TanimotoKernel,
+)
 from abbo.plm import substitution_softmax_pssm
 from abbo.sequences import diff, one_hot_matrix
 
@@ -384,6 +391,57 @@ class TestFitting:
             # the sequence kernel's scale is owned by the Kermut variance
             assert hyper["kernel.seq.variance"] == 1.0
             assert "seq.variance" in model.kernel.frozen()
+
+    @pytest.mark.parametrize("case", ["tanimoto", "spectral", "matern", "se", "sum", "kermut"])
+    def test_gram_blocks_built_once_per_fit(self, rng, monkeypatch, case):
+        # every training prep builds its parameter-free block on the first
+        # Gram and keeps it for all L-BFGS evaluations; a predict builds none
+        builds = []
+
+        def counting(cls, name):
+            real = getattr(cls, name)
+
+            def counted(kernel, *args):
+                builds.append(type(kernel).__name__)
+                return real(kernel, *args)
+
+            monkeypatch.setattr(cls, name, counted)
+
+        for cls in (TanimotoKernel, Matern52Kernel, SquaredExponentialKernel):
+            counting(cls, "_structure")
+        counting(KermutKernel, "_gram_blocks")
+        evaluations = _counting(monkeypatch, "_core")
+        kernel, expected = {
+            "tanimoto": (TanimotoKernel("onehot"), ["TanimotoKernel"]),
+            "spectral": (TanimotoKernel("onehot"), ["TanimotoKernel"]),
+            "matern": (Matern52Kernel("x"), ["Matern52Kernel"]),
+            "se": (SquaredExponentialKernel("x"), ["SquaredExponentialKernel"]),
+            "sum": (
+                SumKernel([("m", Matern52Kernel("x")), ("t", TanimotoKernel("onehot"))]),
+                ["Matern52Kernel", "TanimotoKernel"],
+            ),
+            "kermut": (
+                KermutKernel(synthetic_structure_context(PARENTAL, 2), TanimotoKernel("onehot")),
+                ["KermutKernel", "TanimotoKernel"],
+            ),
+        }[case]
+        # a constant mean sends a Tanimoto fit down the spectral route
+        mean = ConstantMean(0.0) if case == "spectral" else ZeroShotMean(_log_table())
+        seqs, inputs = mutant_inputs(rng, PARENTAL, 12, encoding=one_hot_matrix())
+        inputs = KernelInputs(
+            {**inputs.vectors, "x": rng.standard_normal((12, 4))}, inputs.residues, PARENTAL
+        )
+        model = fit_gp(Dataset(seqs, inputs, rng.standard_normal(12)), kernel, mean, restarts=2)
+        assert sorted(builds) == expected
+        # the spectral route evaluates in the eigenbasis of the block and
+        # factorizes densely once, at the optimum
+        assert evaluations[0] == 1 if case == "spectral" else evaluations[0] > 10
+
+        del builds[:]
+        _, query = mutant_inputs(rng, PARENTAL, 5, encoding=one_hot_matrix())
+        x = rng.standard_normal((5, 4))
+        model.predict(KernelInputs({**query.vectors, "x": x}, query.residues, PARENTAL))
+        assert builds == []
 
 
 class TestCholeskyJitter:

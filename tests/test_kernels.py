@@ -418,6 +418,101 @@ def test_kermut_mix_bounds_enforced(kermut):
         kernel.set_param("variance", -1.0)
 
 
+def test_kermut_distinct_entry_kernel_equals_full_block_bitwise():
+    # a Gram evaluates the entry kernel on the distinct (site, residue)
+    # entries and gathers back; it must equal the kernel of the full (E, E)
+    # distance blocks bit for bit, and so must the Gram and gamma gradients
+    # the full block gives through _owner_sum
+    from abbo.kernels import _owner_sum
+
+    def mutate(changes):
+        seq = list(PARENTAL)
+        for position, residue in changes:
+            seq[position] = residue
+        return "".join(seq)
+
+    context = synthetic_structure_context(PARENTAL, seed=4)
+    kernel = KermutKernel(
+        context,
+        TanimotoKernel("onehot"),
+        variance=1.3,
+        mix=0.7,
+        gamma_h=0.9,
+        gamma_p=2.1,
+        gamma_d=0.4,
+    )
+    batch = [
+        mutate([(3, "W"), (7, "C")]),
+        PARENTAL,  # no entries
+        mutate([(3, "W"), (10, "D")]),  # (3, W) again, in another point
+        mutate([(3, "F"), (15, "G")]),  # a second residue at site 3
+        mutate([(7, "C"), (15, "G"), (18, "A")]),
+    ]
+    for seqs in (batch, batch[:1]):  # and a one-point batch
+        prep = kernel.prepare(sequence_inputs(seqs, PARENTAL, one_hot_matrix()))
+        gram, contract = kernel.gram_grad_prepared(prep)
+        owners, n = prep.owners, prep.n
+        pos, probs = prep.positions, prep.sub_probs
+        full = kernel._entry_distances(pos[:, None], probs[:, None], pos[None, :], probs[None, :])
+        t_full = kernel._entry_kernel(*full)
+        inv = prep.blocks.inverse
+        assert np.array_equal(kernel._entry_kernel(*prep.blocks.distinct)[inv][:, inv], t_full)
+        if seqs is batch:
+            assert prep.blocks.distinct[0].shape[0] < len(pos)  # repeats were merged
+
+        v = kernel.params()
+        k_seq = kernel.seq_kernel.gram(sequence_inputs(seqs, PARENTAL, one_hot_matrix()))
+        k_struct = _owner_sum(t_full, owners, n, owners, n)
+        want = v["variance"] * (v["mix"] * k_struct + (1.0 - v["mix"]) * k_seq)
+        assert np.array_equal(gram, want)
+        w = np.arange(n * n, dtype=float).reshape(n, n) / 7.0 - 1.0
+        grads = contract(w)
+        wt = w[owners][:, owners] * t_full
+        for name, block in zip(("gamma_h", "gamma_p", "gamma_d"), full):
+            assert grads[name] == -v["variance"] * v["mix"] * np.vdot(wt, block), name
+
+
+def test_cached_gram_blocks_are_parameter_free(rng):
+    # a prep evaluated at theta_1 and then at theta_2 must give the Gram and
+    # contraction of a fresh prep at theta_2, bit for bit: the block kept on
+    # the prep may hold nothing that a parameter touches
+    n = 9
+    _, inputs = mutant_inputs(rng, PARENTAL, n, encoding=one_hot_matrix())
+    inputs = KernelInputs(
+        {**inputs.vectors, "x": rng.standard_normal((n, 5))}, inputs.residues, inputs.parental
+    )
+    kernels = [
+        TanimotoKernel("onehot", variance=1.3),
+        Matern52Kernel("x", variance=0.8, lengthscale=1.7),
+        SquaredExponentialKernel("x", variance=1.1, lengthscale=0.9),
+        SumKernel([("m", Matern52Kernel("x", 1.2, 0.6)), ("t", TanimotoKernel("onehot"))]),
+        ProductKernel([("t", TanimotoKernel("onehot", 0.7)), ("s", SquaredExponentialKernel("x"))]),
+        KermutKernel(synthetic_structure_context(PARENTAL, seed=3), TanimotoKernel("onehot")),
+    ]
+    w = rng.standard_normal((n, n))
+    w += w.T
+    for kernel in kernels:
+        prep = kernel.prepare(inputs)
+        kernel.gram_grad_prepared(prep)[1](w)  # theta_1
+        for name in kernel.free_param_names():
+            value = kernel.params()[name]
+            kernel.set_param(name, 0.35 if kernel.transform(name) == "logit" else 1.9 * value)
+        gram, contract = kernel.gram_grad_prepared(prep)  # theta_2, from the kept blocks
+        fresh_gram, fresh_contract = kernel.gram_grad_prepared(kernel.prepare(inputs))
+        assert np.array_equal(gram, fresh_gram), type(kernel).__name__
+        assert contract(w) == fresh_contract(w), type(kernel).__name__
+
+
+def test_tanimoto_zero_vector_fails_when_the_gram_block_is_built():
+    kernel = TanimotoKernel("x")
+    prep = kernel.prepare(KernelInputs({"x": np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])}))
+    with pytest.raises(ValueError, match="zero vectors"):
+        kernel.gram_grad_prepared(prep)
+    assert prep.block is None
+    with pytest.raises(ValueError, match="zero vectors"):
+        kernel.similarity(prep)
+
+
 # ---------------------------------------------------------------------------
 # reparameterization
 
