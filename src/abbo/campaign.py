@@ -31,7 +31,7 @@ from .features import (
     synthetic_structure_context,
 )
 from .gaopt import GAConfig, evolve
-from .gp import ConstantMean, Dataset, GPModel, ZeroShotMean, fit_gp
+from .gp import NOISE_BOUNDS, ConstantMean, Dataset, GPModel, ZeroShotMean, fit_gp
 from .kernels import (
     Kernel,
     KernelInputs,
@@ -403,6 +403,11 @@ class GPConfig:
             raise ConfigError("gp.restarts must be >= 1")
         if self.noise_init <= 0:
             raise ConfigError("gp.noise_init must be positive")
+        lo, hi = NOISE_BOUNDS
+        if self.fit_noise and not lo <= self.noise_init <= hi:
+            raise ConfigError(
+                f"gp.noise_init {self.noise_init} lies outside the fitted noise bounds [{lo}, {hi}]"
+            )
 
 
 @dataclass

@@ -65,9 +65,13 @@ def cholesky_with_jitter(a: np.ndarray) -> tuple[np.ndarray, float]:
     1e-4 * mean(diag). Raises NumericalError when even that fails.
     """
     a = np.asarray(a, dtype=float)
+    try:
+        return np.linalg.cholesky(a), 0.0
+    except np.linalg.LinAlgError:
+        pass
     jitters = _jitter_schedule(np.mean(np.diag(a)))
     eye = np.eye(a.shape[0])
-    for jitter in jitters:
+    for jitter in jitters[1:]:
         try:
             return np.linalg.cholesky(a + jitter * eye), jitter
         except np.linalg.LinAlgError:
@@ -280,7 +284,8 @@ def _core(kernel, mean, noise, prep, mean_prep, y, want_grads):
     """
     k, contract = kernel.gram_grad_prepared(prep)
     n = y.size
-    a = k + noise * np.eye(n)
+    a = k.copy()  # the contraction may hold k itself
+    a.flat[:: n + 1] += noise
     chol, jitter = cholesky_with_jitter(a)
     res = y - mean.values_prepared(mean_prep)
     alpha = cho_solve((chol, True), res)
@@ -506,14 +511,23 @@ def fit_gp(
                 u0[i] = rng.uniform(lo, hi)
         return u0
 
+    lower, upper = np.array(internal_bounds).reshape(-1, 2).T
     best_fun = np.inf
     best_u: np.ndarray | None = None
     for i in range(restarts):
-        u0 = start_vector(i)
-        candidates = [(objective(u0)[0], u0)]
+        # L-BFGS-B clips its start into the bounds, so score the clipped
+        # start, and hand its evaluation to the minimizer's first call there
+        u0 = np.clip(start_vector(i), lower, upper)
+        start = objective(u0)
+        candidates = [(start[0], u0)]
         if free:
+            unused = [start]
+
+            def resumed(u, u0=u0, unused=unused):
+                return unused.pop() if unused and np.array_equal(u, u0) else objective(u)
+
             result = minimize(
-                objective,
+                resumed,
                 u0,
                 jac=True,
                 method="L-BFGS-B",

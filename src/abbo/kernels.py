@@ -12,13 +12,14 @@ gradients come as one contract: `gram_grad_prepared` returns the Gram K and a
 kernel builds an n x n derivative matrix per parameter. The fit passes
 W = (alpha alpha^T - A^-1) / 2, which turns each contraction into that
 parameter's log marginal likelihood gradient (Rasmussen & Williams 2006,
-eq. 5.9). The structure-aware kernel keeps its Gram and contraction in
-mutation-entry space: both are reductions of (E, E) entry blocks over the
-points that own the entries. All computation is double precision.
+eq. 5.9). The structure-aware kernel keys each batch by its U distinct
+(site, substituted residue) mutations: its Gram is P T P^T for the (n, U)
+incidence P and the (U, U) entry kernel T, and its contraction moves W into
+key space as P^T W P. All computation is double precision.
 
 What a Gram needs that no parameter touches (Tanimoto's unit-variance
 similarity, Matern's distances, the squared exponential's squared distances,
-Kermut's entry distances) is built on the first Gram of a prepared batch and
+Kermut's key distances) is built on the first Gram of a prepared batch and
 kept on it, so a fit builds it once and each evaluation applies only the
 parameters. Cross and diagonal blocks, whose query batch is used once, keep
 nothing.
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -554,61 +555,25 @@ def _hellinger_matrix(site_probs: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(deltas**2, axis=-1)) / np.sqrt(2.0)
 
 
-class _GramBlocks(NamedTuple):
-    """The parameter-free entry structure of a Kermut Gram: the distances
-    (hh, pp, dd) between all (E, E) entry pairs, the same between the U
-    distinct (site, substituted residue) entries, and each entry's row among
-    the distinct ones."""
-
-    full: tuple[np.ndarray, np.ndarray, np.ndarray]
-    distinct: tuple[np.ndarray, np.ndarray, np.ndarray]
-    inverse: np.ndarray
-
-
 @dataclass
 class _KermutPrepared:
-    """A batch as its mutation entries (`KernelInputs.entries`); each entry
-    belongs to one point, its owner.
+    """A batch as the distinct mutations its points carry.
 
-    Every Kermut block works on the entries: an (E_a, E_b) entry kernel summed
-    over the owners of each side (`_owner_sum`). A Gram's entry distances are
-    the same at every evaluation of a fit, so `KermutKernel.gram_grad_prepared`
-    builds them (`_gram_blocks`) on the first Gram of the batch and keeps them
-    here; a query batch never does.
+    A key is a (site, substituted residue) pair that some point of the batch
+    carries; the U keys ascend by site, then residue. `incidence` is the
+    (n, U) 0/1 matrix P of which point carries which key. A point has one
+    residue per site, so it carries a key at most once, and every structural
+    block is a product through P: P T Pᵀ for the entry kernel T over the keys.
+    A Gram's (U, U) key distances are the same at every evaluation of a fit,
+    so `KermutKernel.gram_grad_prepared` builds them (`_key_distances`) on the
+    first Gram of the batch and keeps them here; a query batch never does.
     """
 
     seq_prep: object
-    n: int
-    positions: np.ndarray  # (E,) site index of every mutation entry
-    residues: np.ndarray  # (E,) alphabet index of each substituted residue
-    sub_probs: np.ndarray  # (E,) context probability of each substituted residue
-    owners: np.ndarray  # (E,) index of the point each entry belongs to, nondecreasing
-    blocks: _GramBlocks | None = None
-
-
-# largest (E_a, E_b) entry block a cross evaluation holds at once, in elements
-_ENTRY_BLOCK = 1 << 13
-
-
-def _segment_sum(x: np.ndarray, owners: np.ndarray, n: int, axis: int) -> np.ndarray:
-    """Sum the entries of `x` along `axis` into their owners' n slots; an owner
-    with no entries gets 0. `owners` is nondecreasing."""
-    shape = list(x.shape)
-    shape[axis] = n
-    out = np.zeros(shape)
-    if owners.size:
-        starts = np.flatnonzero(np.r_[True, owners[1:] != owners[:-1]])
-        index = [slice(None)] * x.ndim
-        index[axis] = owners[starts]
-        out[tuple(index)] = np.add.reduceat(x, starts, axis=axis)
-    return out
-
-
-def _owner_sum(t: np.ndarray, owners_a: np.ndarray, n_a: int, owners_b: np.ndarray, n_b: int):
-    """The (n_a, n_b) block of an (E_a, E_b) entry block: each entry pair
-    summed into its owners' slot, which is C_a t C_b^T for the incidence
-    matrices C of the two sides."""
-    return _segment_sum(_segment_sum(t, owners_a, n_a, axis=0), owners_b, n_b, axis=1)
+    positions: np.ndarray  # (U,) site of each key
+    sub_probs: np.ndarray  # (U,) context probability of each key's residue
+    incidence: np.ndarray  # (n, U) 1 where a point carries a key, else 0
+    distances: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
 
 class KermutKernel(Kernel):
@@ -623,19 +588,15 @@ class KermutKernel(Kernel):
     0 whenever either mutation set is empty. A point's mutations are read from
     its residues against the batch's parental (`KernelInputs.entries`).
 
-    Everything stays in entry space. The structural Gram of a training batch
-    is its (E, E) entry kernel t summed over the owners of both entries. Its
-    parameter-free distance blocks, between all entry pairs and between the U
-    distinct (site, substituted residue) entries, are built on the batch's
-    first Gram and kept on the prepared batch (`_GramBlocks`), so an
-    evaluation takes the exponential over the U x U distinct pairs only and
-    gathers it back to the entries; that is exact, as each element is the
-    same expression of the same three distances. The gradient contraction
-    gathers W[owners][:, owners] once and contracts it with t times each
-    (E, E) block for the gamma derivatives; the sequence kernel gets
-    variance * (1 - mix) * W. A query batch (the posterior) builds no (E, E)
-    block: its cross block is the (E_a, E_b) entry kernel summed over the
-    owners in slabs, and its diagonal sums only the entry pairs within each
+    Everything works on each batch's distinct mutation keys (`_KermutPrepared`).
+    The structural Gram of a training batch is P T Pᵀ, with T the entry
+    kernel over its U x U key distances; those distances are built on the
+    batch's first Gram and kept, so an evaluation takes one U x U exponential
+    and two products. The gradient contraction moves W into key space once,
+    Wu = Pᵀ W P, and contracts Wu * T with each distance block for the gamma
+    derivatives; the sequence kernel gets variance * (1 - mix) * W. A query
+    batch builds nothing to keep: its cross block is P_a T_ab P_bᵀ over the
+    two batches' keys, and its diagonal sums only the key pairs within each
     point.
     """
 
@@ -690,31 +651,25 @@ class KermutKernel(Kernel):
             raise ValueError(
                 f"parental length {len(inputs.parental)} != context length {self.context.length}"
             )
+        width = self.context.site_probs.shape[1]
+        keys, key_of = np.unique(positions * width + residues, return_inverse=True)
+        sites, subs = np.divmod(keys, width)
+        incidence = np.zeros((len(inputs), keys.size))
+        incidence[owners, key_of] = 1.0
         return _KermutPrepared(
             seq_prep=self.seq_kernel.prepare(inputs),
-            n=len(inputs),
-            positions=positions,
-            residues=residues,
-            sub_probs=self.context.site_probs[positions, residues],
-            owners=owners,
+            positions=sites,
+            sub_probs=self.context.site_probs[sites, subs],
+            incidence=incidence,
         )
 
-    def _gram_blocks(self, prep: _KermutPrepared) -> _GramBlocks:
-        """The entry distances of a Gram of the batch, and of its distinct entries."""
+    def _key_distances(self, prep: _KermutPrepared) -> tuple[np.ndarray, ...]:
+        """The (U, U) distances between the keys of a Gram's batch."""
         pos, probs = prep.positions, prep.sub_probs
-        keys = pos * self.context.site_probs.shape[1] + prep.residues
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        pos_u, probs_u = pos[first], probs[first]
-        return _GramBlocks(
-            self._entry_distances(pos[:, None], probs[:, None], pos[None, :], probs[None, :]),
-            self._entry_distances(
-                pos_u[:, None], probs_u[:, None], pos_u[None, :], probs_u[None, :]
-            ),
-            inverse,
-        )
+        return self._entry_distances(pos[:, None], probs[:, None], pos[None, :], probs[None, :])
 
     def _entry_distances(self, pos_a, probs_a, pos_b, probs_b) -> tuple[np.ndarray, ...]:
-        """(hh, pp, dd) between entries a and b: a block when the arguments
+        """(hh, pp, dd) between mutations a and b: a block when the arguments
         broadcast to one, elementwise for 1-D arrays of one length."""
         return (
             self._hmat[pos_a, pos_b],
@@ -728,19 +683,11 @@ class KermutKernel(Kernel):
 
     def gram_grad_prepared(self, prep: _KermutPrepared):
         v = dict(self._values)  # the contraction's parameters are those of this Gram
-        if prep.blocks is None:  # built on the batch's first Gram, kept for the fit
-            prep.blocks = self._gram_blocks(prep)
-        blocks = prep.blocks
-        hh, pp, dd = blocks.full
-        inv, owners, n = blocks.inverse, prep.owners, prep.n
-        # The entry kernel on the distinct entries, gathered to each entry's
-        # row; gathering the columns too gives the (E, E) entry kernel t,
-        # bitwise that of the full blocks (hh, pp, dd), since every element is
-        # the same expression of the same three distances. The owner sum runs
-        # over the rows before the columns are gathered: each column is
-        # summed exactly as in _owner_sum(t), the U distinct ones once.
-        rows = self._entry_kernel(*blocks.distinct)[inv]
-        k_struct = _segment_sum(_segment_sum(rows, owners, n, axis=0)[:, inv], owners, n, axis=1)
+        if prep.distances is None:  # built on the batch's first Gram, kept for the fit
+            prep.distances = self._key_distances(prep)
+        p = prep.incidence
+        t = self._entry_kernel(*prep.distances)
+        k_struct = p @ t @ p.T
         k_seq, seq_contract = self.seq_kernel.gram_grad_prepared(prep.seq_prep)
         k = v["variance"] * (v["mix"] * k_struct + (1.0 - v["mix"]) * k_seq)
 
@@ -750,62 +697,51 @@ class KermutKernel(Kernel):
             w_struct, w_seq = np.vdot(w, k_struct), np.vdot(w, k_seq)
             grads["variance"] = v["mix"] * w_struct + (1.0 - v["mix"]) * w_seq
             grads["mix"] = v["variance"] * (w_struct - w_seq)
-            # sum(w * C X C^T) = sum(w[owners][:, owners] * X), here for
-            # X = t * block; `take` keeps wt C-ordered, which np.vdot reads
-            # without a copy
-            wt = w[owners].take(owners, axis=1)
-            wt *= rows.take(inv, axis=1)
-            for name, block in (("gamma_h", hh), ("gamma_p", pp), ("gamma_d", dd)):
+            # sum(W * P (T * X) Pᵀ) = sum(Pᵀ W P * T * X) for each distance block X
+            wt = p.T @ w @ p
+            wt *= t
+            for name, block in zip(("gamma_h", "gamma_p", "gamma_d"), prep.distances):
                 grads[name] = -v["variance"] * v["mix"] * np.vdot(wt, block)
             return grads
 
         return k, contract
 
     def cross_prepared(self, prep_a: _KermutPrepared, prep_b: _KermutPrepared) -> np.ndarray:
-        """Cross block from the (E_a, E_b) entry kernel, summed over the
-        owners of each side (`_owner_sum`).
-
-        The points of b are taken in slabs whose entry block holds at most
-        about `_ENTRY_BLOCK` elements, so memory stays bounded for any batch.
-        """
+        """Cross block P_a T_ab P_bᵀ over the two batches' keys; there are at
+        most L * 19 keys a side, so the (U_a, U_b) block is bounded."""
         v = self._values
-        pos_a, probs_a = prep_a.positions[:, None], prep_a.sub_probs[:, None]
-        counts = np.bincount(prep_b.owners, minlength=prep_b.n)
-        bounds = np.concatenate([[0], np.cumsum(counts)])  # point j owns bounds[j]:bounds[j + 1]
-        per_slab = max(1, _ENTRY_BLOCK // max(pos_a.size * counts.max(initial=1), 1))
-        k_struct = np.empty((prep_a.n, prep_b.n))
-        for j0 in range(0, prep_b.n, per_slab):
-            j1 = min(j0 + per_slab, prep_b.n)
-            e0, e1 = bounds[j0], bounds[j1]
-            t = self._entry_kernel(
-                *self._entry_distances(
-                    pos_a, probs_a, prep_b.positions[None, e0:e1], prep_b.sub_probs[None, e0:e1]
-                )
+        t = self._entry_kernel(
+            *self._entry_distances(
+                prep_a.positions[:, None],
+                prep_a.sub_probs[:, None],
+                prep_b.positions[None, :],
+                prep_b.sub_probs[None, :],
             )
-            k_struct[:, j0:j1] = _owner_sum(
-                t, prep_a.owners, prep_a.n, prep_b.owners[e0:e1] - j0, j1 - j0
-            )
+        )
+        k_struct = prep_a.incidence @ t @ prep_b.incidence.T
         k_seq = self.seq_kernel.cross_prepared(prep_a.seq_prep, prep_b.seq_prep)
         return v["variance"] * (v["mix"] * k_struct + (1.0 - v["mix"]) * k_seq)
 
     def diag_prepared(self, prep: _KermutPrepared) -> np.ndarray:
-        """Diagonal from the entry pairs within each point only."""
+        """Diagonal from the key pairs within each point only."""
         v = self._values
-        owners = prep.owners
-        counts = np.bincount(owners, minlength=prep.n)
-        first = np.cumsum(counts) - counts  # each point's first entry
-        # pair every entry e with each entry f of its owner: e repeats once
-        # per entry of its owner, and the k-th repeat pairs with f = first + k
+        n = len(prep.incidence)
+        owners, keys = np.nonzero(prep.incidence)  # each point's keys, ascending
+        counts = np.bincount(owners, minlength=n)
+        first = np.cumsum(counts) - counts  # each point's first key
+        # pair every key e of a point with each key f of the same point: e
+        # repeats once per key of its owner, and the k-th repeat pairs with
+        # f = first + k
         reps = counts[owners]
         e = np.repeat(np.arange(owners.size), reps)
         k = np.arange(e.size) - np.repeat(np.cumsum(reps) - reps, reps)
-        f = first[owners[e]] + k
+        ke, kf = keys[e], keys[first[owners[e]] + k]
         t = self._entry_kernel(
             *self._entry_distances(
-                prep.positions[e], prep.sub_probs[e], prep.positions[f], prep.sub_probs[f]
+                prep.positions[ke], prep.sub_probs[ke], prep.positions[kf], prep.sub_probs[kf]
             )
         )
-        struct_diag = np.bincount(owners[e], weights=t, minlength=prep.n)
+        struct_diag = np.bincount(owners[e], weights=t, minlength=n)
         seq_diag = self.seq_kernel.diag_prepared(prep.seq_prep)
         return v["variance"] * (v["mix"] * struct_diag + (1.0 - v["mix"]) * seq_diag)
 

@@ -200,6 +200,22 @@ def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, command, o
 
 
 @pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("noise_init", [50.0, 1e-9])
+def test_fitted_noise_init_outside_its_bounds_is_config_error(
+    tmp_path, capsys, command, noise_init
+):
+    config = write_config(tmp_path / "config.yaml", gp={"noise_init": noise_init})
+    code, message = run_or_validate(command, config, tmp_path / "x", capsys)
+    assert code == (EXIT_CONFIG if command == "run" else EXIT_VIOLATIONS)
+    assert "gp.noise_init" in message
+    # a frozen noise is not fitted, so any positive value stands
+    frozen = write_config(
+        tmp_path / "frozen.yaml", gp={"noise_init": noise_init, "fit_noise": False}
+    )
+    assert main(["validate", "--config", str(frozen)]) == EXIT_OK
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
 @pytest.mark.parametrize("table_use", ["oracle", "constraint"])
 def test_non_numeric_table_value_is_fixture_error(tmp_path, capsys, command, table_use):
     table = tmp_path / "table.csv"

@@ -2,11 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 import abbo.gp as gp_module
 from abbo.exceptions import NumericalError
 from abbo.features import synthetic_structure_context
 from abbo.gp import (
+    NOISE_BOUNDS,
     ConstantMean,
     Dataset,
     ZeroShotMean,
@@ -380,6 +382,35 @@ class TestFitting:
         model = fit_gp(data, TanimotoKernel("onehot"), ConstantMean(0.0), noise=0.1, restarts=2)
         assert 1e-8 <= model.noise <= 10.0
 
+    def test_out_of_bounds_start_cannot_win(self, rng):
+        # L-BFGS-B runs from the start clipped into the bounds; the start is
+        # scored there too, so an outside noise cannot come back as the fit;
+        # the targets' spread would have the unclipped noise of 50 win
+        seqs, inputs = mutant_inputs(rng, PARENTAL, 8, encoding=one_hot_matrix())
+        data = Dataset(seqs, inputs, 30.0 * rng.standard_normal(8))
+        kernel = Matern52Kernel("onehot", lengthscale=3.0)
+        kernel.freeze("variance")
+        model = fit_gp(data, kernel, ConstantMean(0.0), noise=50.0, restarts=1)
+        # at the upper bound, up to the rounding of exp(log(10))
+        assert model.noise == pytest.approx(NOISE_BOUNDS[1], rel=1e-12)
+
+    def test_each_start_is_evaluated_once(self, rng, monkeypatch):
+        # the minimizer's first call is at the start and reuses its score, so
+        # the objective runs once per minimizer evaluation plus the final factor
+        evaluations = _counting(monkeypatch, "_core")
+        counts = []
+
+        def counted_minimize(*args, **kwargs):
+            result = minimize(*args, **kwargs)
+            counts.append(result.nfev)
+            return result
+
+        monkeypatch.setattr(gp_module, "minimize", counted_minimize)
+        kernel = Matern52Kernel("onehot", lengthscale=3.0)
+        fit_gp(_make_dataset(rng, 8), kernel, ConstantMean(0.0), noise=0.1, restarts=3)
+        assert len(counts) == 3
+        assert evaluations[0] == sum(counts) + 1
+
     @pytest.mark.parametrize("case", sorted(_SURROGATE_GROUPS))
     def test_hyperparameters_exposes_all_groups(self, rng, case):
         build, names = _SURROGATE_GROUPS[case]
@@ -409,7 +440,7 @@ class TestFitting:
 
         for cls in (TanimotoKernel, Matern52Kernel, SquaredExponentialKernel):
             counting(cls, "_structure")
-        counting(KermutKernel, "_gram_blocks")
+        counting(KermutKernel, "_key_distances")
         evaluations = _counting(monkeypatch, "_core")
         kernel, expected = {
             "tanimoto": (TanimotoKernel("onehot"), ["TanimotoKernel"]),

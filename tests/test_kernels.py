@@ -328,22 +328,56 @@ def test_kermut_diag_and_cross_consistent(kermut):
     assert np.allclose(kernel.cross(inputs, inputs[:3]), gram[:, :3])
 
 
-@pytest.mark.parametrize("block", [None, 1])
-def test_kermut_entry_space_cross_and_diag_match_double_sum(kermut, rng, monkeypatch, block):
-    # a query batch goes through the entry-space cross and diagonal; with
-    # block 1 the cross takes the batch one point per slab
-    if block is not None:
-        monkeypatch.setattr("abbo.kernels._ENTRY_BLOCK", block)
-    kernel, context, train_seqs, train = kermut
+def _mutate(changes):
+    seq = list(PARENTAL)
+    for position, residue in changes:
+        seq[position] = residue
+    return "".join(seq)
+
+
+_KEYED = [
+    _mutate([(3, "W"), (7, "C")]),
+    PARENTAL,  # no keys
+    _mutate([(3, "W"), (10, "D")]),  # (3, W) again, in another point
+    _mutate([(3, "F"), (15, "G")]),  # a second residue at site 3
+    _mutate([(7, "C"), (15, "G"), (18, "A")]),
+]
+# none of these (site, residue) keys is carried by a point of _KEYED
+_DISJOINT = [_mutate([(1, "L"), (20, "P")]), _mutate([(12, "H")]), _mutate([(3, "Y")])]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "shared-and-split-keys",
+        "disjoint-queries",
+        "all-parental-train",
+        "all-parental-queries",
+        "one-point",
+        "random",
+    ],
+)
+def test_kermut_key_blocks_match_double_sum(kermut, rng, case):
+    # Gram, cross block and diagonal through the (n, U) key incidence against
+    # kermut_struct's double sum over mutation pairs plus the sequence term
+    kernel, context, train_seqs, _ = kermut
     onehot = one_hot_matrix()
     extra, _ = mutant_inputs(rng, PARENTAL, 7, encoding=onehot)
-    # the parental (no mutations), two training points, new designs, one twice
-    rows = [train_seqs[0], train_seqs[3], train_seqs[5], *extra[1:], extra[2]]
-    query = sequence_inputs(rows, PARENTAL, onehot)
-    prep_q = kernel.prepare(query)
-    cross = kernel.cross_prepared(kernel.prepare(train), prep_q)
+    train, queries = {
+        "shared-and-split-keys": (_KEYED, [_KEYED[2], PARENTAL, _mutate([(3, "F"), (7, "C")])]),
+        "disjoint-queries": (_KEYED, _DISJOINT),
+        "all-parental-train": ([PARENTAL, PARENTAL], _KEYED),
+        "all-parental-queries": (_KEYED, [PARENTAL]),
+        "one-point": (_KEYED[:1], _KEYED[3:4]),
+        # the parental, two training points, new designs, one twice
+        "random": (train_seqs, [train_seqs[0], train_seqs[3], *extra[1:], extra[2]]),
+    }[case]
+    prep = kernel.prepare(sequence_inputs(train, PARENTAL, onehot))
+    prep_q = kernel.prepare(sequence_inputs(queries, PARENTAL, onehot))
+    gram = kernel.gram_prepared(prep)
+    cross = kernel.cross_prepared(prep, prep_q)
     diag = kernel.diag_prepared(prep_q)
-    assert prep_q.blocks is None  # no (E, E) block for the queries
+    assert prep_q.distances is None  # a query batch keeps no key block
     params = kernel.params()
     var, mix = params["variance"], params["mix"]
     gammas = {name: params[name] for name in ("gamma_h", "gamma_p", "gamma_d")}
@@ -353,13 +387,21 @@ def test_kermut_entry_space_cross_and_diag_match_double_sum(kermut, rng, monkeyp
         seq = tanimoto(encode(a, onehot), encode(b, onehot))
         return var * (mix * struct + (1.0 - mix) * seq)
 
-    worst = max(
-        abs(cross[i, j] - expected(a, b))
-        for i, a in enumerate(train_seqs)
-        for j, b in enumerate(rows)
-    )
-    worst = max([worst] + [abs(diag[j] - expected(b, b)) for j, b in enumerate(rows)])
-    assert worst <= 1e-12, worst
+    want_gram = np.array([[expected(a, b) for b in train] for a in train])
+    want_cross = np.array([[expected(a, b) for b in queries] for a in train])
+    want_diag = np.array([expected(b, b) for b in queries])
+    assert np.abs(gram - want_gram).max() <= 1e-12
+    assert np.abs(cross - want_cross).max() <= 1e-12
+    assert np.abs(diag - want_diag).max() <= 1e-12
+
+    # each point carries each of its mutations as one key, once
+    entries = sum(len(diff(PARENTAL, s).entries) for s in train)
+    assert set(np.unique(prep.incidence)) <= {0.0, 1.0}
+    assert prep.incidence.sum() == entries
+    if train is _KEYED:
+        assert prep.incidence.shape == (5, 6)  # (3, W), (7, C) and (15, G) are shared
+    if case == "all-parental-train":
+        assert prep.incidence.shape == (2, 0)
 
 
 def test_kermut_parental_row_uses_sequence_kernel_only(kermut):
@@ -416,60 +458,6 @@ def test_kermut_mix_bounds_enforced(kermut):
         kernel.set_param("mix", 0.0)
     with pytest.raises(ValueError):
         kernel.set_param("variance", -1.0)
-
-
-def test_kermut_distinct_entry_kernel_equals_full_block_bitwise():
-    # a Gram evaluates the entry kernel on the distinct (site, residue)
-    # entries and gathers back; it must equal the kernel of the full (E, E)
-    # distance blocks bit for bit, and so must the Gram and gamma gradients
-    # the full block gives through _owner_sum
-    from abbo.kernels import _owner_sum
-
-    def mutate(changes):
-        seq = list(PARENTAL)
-        for position, residue in changes:
-            seq[position] = residue
-        return "".join(seq)
-
-    context = synthetic_structure_context(PARENTAL, seed=4)
-    kernel = KermutKernel(
-        context,
-        TanimotoKernel("onehot"),
-        variance=1.3,
-        mix=0.7,
-        gamma_h=0.9,
-        gamma_p=2.1,
-        gamma_d=0.4,
-    )
-    batch = [
-        mutate([(3, "W"), (7, "C")]),
-        PARENTAL,  # no entries
-        mutate([(3, "W"), (10, "D")]),  # (3, W) again, in another point
-        mutate([(3, "F"), (15, "G")]),  # a second residue at site 3
-        mutate([(7, "C"), (15, "G"), (18, "A")]),
-    ]
-    for seqs in (batch, batch[:1]):  # and a one-point batch
-        prep = kernel.prepare(sequence_inputs(seqs, PARENTAL, one_hot_matrix()))
-        gram, contract = kernel.gram_grad_prepared(prep)
-        owners, n = prep.owners, prep.n
-        pos, probs = prep.positions, prep.sub_probs
-        full = kernel._entry_distances(pos[:, None], probs[:, None], pos[None, :], probs[None, :])
-        t_full = kernel._entry_kernel(*full)
-        inv = prep.blocks.inverse
-        assert np.array_equal(kernel._entry_kernel(*prep.blocks.distinct)[inv][:, inv], t_full)
-        if seqs is batch:
-            assert prep.blocks.distinct[0].shape[0] < len(pos)  # repeats were merged
-
-        v = kernel.params()
-        k_seq = kernel.seq_kernel.gram(sequence_inputs(seqs, PARENTAL, one_hot_matrix()))
-        k_struct = _owner_sum(t_full, owners, n, owners, n)
-        want = v["variance"] * (v["mix"] * k_struct + (1.0 - v["mix"]) * k_seq)
-        assert np.array_equal(gram, want)
-        w = np.arange(n * n, dtype=float).reshape(n, n) / 7.0 - 1.0
-        grads = contract(w)
-        wt = w[owners][:, owners] * t_full
-        for name, block in zip(("gamma_h", "gamma_p", "gamma_d"), full):
-            assert grads[name] == -v["variance"] * v["mix"] * np.vdot(wt, block), name
 
 
 def test_cached_gram_blocks_are_parameter_free(rng):

@@ -48,7 +48,7 @@ GOLDEN = {
     "BLO-T": "3b0c25755b8459c1",
     "ESM-M": "632319b3d91e3103",
     "IgFold-BLO-T": "0b3b6af63e6273ca",
-    "Kermut-T": "4e25acad9bf665a7",
+    "Kermut-T": "3ab192d34a4b5000",
     "C-OneHot-T": "9a5cbe89e7212de5",
     "Random": "36d7a5bc543d6ceb",
     "C-Kermut-BLO-T": "48a337f7059ae10f",
@@ -60,11 +60,11 @@ GOLDEN_FIT = {
     "BLO-T": "6b3b6c9969a0c943",
     "ESM-M": "9bfad3a0502eb3eb",
     "IgFold-BLO-T": "a4b68f951f73c645",
-    "Kermut-T": "ec3b162297e4f1b4",
+    "Kermut-T": "cf4a11fe3f008ea0",
     "C-OneHot-T": "335f279ad415bf4d",
     "Random": "66e529d14e5ed948",
-    "C-Kermut-BLO-T": "ae29d14c9f554a34",
-    "Const-Kermut-T": "4bbc6dbab5969f25",
+    "C-Kermut-BLO-T": "75658fd14c24ab8a",
+    "Const-Kermut-T": "5922ee5bda840576",
 }
 
 
