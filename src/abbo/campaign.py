@@ -406,7 +406,8 @@ class GPConfig:
         lo, hi = NOISE_BOUNDS
         if self.fit_noise and not lo <= self.noise_init <= hi:
             raise ConfigError(
-                f"gp.noise_init {self.noise_init} lies outside the fitted noise bounds [{lo}, {hi}]"
+                f"gp.noise_init {self.noise_init} lies outside the fitted noise's "
+                f"bounds [{lo}, {hi}]"
             )
 
 
