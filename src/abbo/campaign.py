@@ -120,7 +120,7 @@ METHOD_REGISTRY: dict[str, MethodSpec] = {
         MethodSpec("BLO-T", "constant", "tanimoto", "blosum"),
         MethodSpec("ESM-M", "constant", "matern52", "embedding"),
         MethodSpec("IgFold-M", "constant", "matern52", "coords"),
-        MethodSpec("IgFold-ESM-M", "constant", "matern52", "embedding+coords"),
+        MethodSpec("IgFold-ESM-M", "constant", "matern52", "embedding_coords"),
         MethodSpec("IgFold-BLO-T", "constant", "sum", "blosum"),
         MethodSpec("Kermut-T", "zero-shot", "kermut", "onehot", "standard", "standard"),
         MethodSpec("Kermut-BLO-T", "zero-shot", "kermut", "blosum", "standard", "standard"),
@@ -349,41 +349,30 @@ class OracleConfig:
             raise ConfigError(f"oracle.kind must be one of {self.KINDS}, got {self.kind!r}")
         if self.kind == "fixture" and not self.table_path:
             raise ConfigError("oracle.kind 'fixture' needs oracle.table")
+        if self.kind != "fixture" and self.table_path is not None:
+            raise ConfigError(f"oracle.table is read only by kind 'fixture', not {self.kind!r}")
         if self.seed is not None:
             _require_type(self.seed, int, "oracle.seed")
 
 
 @dataclass
 class ProviderConfig:
-    features: str = "synthetic"
+    """Fixture paths of the providers: each provider replays its fixtures when
+    its path is set and is synthetic otherwise (`_build_providers`)."""
+
     embedding_path: str | None = None
     coords_path: str | None = None
-    structure: str = "synthetic"
     site_probs_path: str | None = None
     distances_path: str | None = None
-    antibody_structure: str = "synthetic"
     antibody_site_probs_path: str | None = None
     antibody_distances_path: str | None = None
     antibody_temperature: float = 0.8
-    constraint: str = "synthetic"
     constraint_pssm_path: str | None = None
     constraint_table_path: str | None = None
-    zero_shot: str = "synthetic"
     zero_shot_pssm_path: str | None = None
-    antibody_zero_shot: str = "synthetic"
     antibody_zero_shot_pssm_path: str | None = None
 
     def __post_init__(self) -> None:
-        if self.features not in ("synthetic", "fixture"):
-            raise ConfigError("providers.features must be 'synthetic' or 'fixture'")
-        for name in ("structure", "antibody_structure"):
-            if getattr(self, name) not in ("synthetic", "fixture"):
-                raise ConfigError(f"providers.{name} must be 'synthetic' or 'fixture'")
-        if self.constraint not in ("synthetic", "pssm", "table"):
-            raise ConfigError("providers.constraint must be 'synthetic', 'pssm', or 'table'")
-        for name in ("zero_shot", "antibody_zero_shot"):
-            if getattr(self, name) not in ("synthetic", "pssm"):
-                raise ConfigError(f"providers.{name} must be 'synthetic' or 'pssm'")
         _require_type(self.antibody_temperature, float, "providers.antibody_temperature")
         if self.antibody_temperature <= 0:
             raise ConfigError("providers.antibody_temperature must be positive")
@@ -571,60 +560,63 @@ def _build_oracle(config: CampaignConfig):
     return SyntheticOracle(config.parental, kind=kind, seed=seed)
 
 
+def _context_paths(prov: ProviderConfig, prefix: str) -> tuple[str, str] | None:
+    """A structure context's site-probability and distance paths: both set, or neither."""
+    keys = (f"{prefix}site_probs_path", f"{prefix}distances_path")
+    paths = tuple(getattr(prov, key) for key in keys)
+    if paths.count(None) == 1:
+        raise ConfigError(f"providers.{keys[0]} and providers.{keys[1]} must be set together")
+    return None if paths[0] is None else paths
+
+
 def _build_providers(config: CampaignConfig, spec: MethodSpec) -> _Providers:
+    """Each provider replays its fixture paths when they are set, else is synthetic."""
     prov = config.providers
     parental = config.parental
+    contexts = {"standard": _context_paths(prov, ""), "antibody": _context_paths(prov, "antibody_")}
+    if prov.constraint_pssm_path is not None and prov.constraint_table_path is not None:
+        raise ConfigError(
+            "providers.constraint_pssm_path and providers.constraint_table_path "
+            "are alternatives; set at most one"
+        )
 
     features = None
-    needs_vectors = bool(_PROVIDER_FIELDS & _fields_for(spec))
-    # coordinates also feed the per-round RMSD log, so build the provider
-    # whenever the synthetic route makes that possible
-    if needs_vectors or prov.features == "synthetic":
-        if prov.features == "synthetic":
-            features = SyntheticFeatureProvider(
-                parental, seed=config.seed, embedding_dim=config.embedding_dim
-            )
-        else:
-            features = FixtureFeatureProvider(
-                parental,
-                embedding_path=prov.embedding_path,
-                coords_path=prov.coords_path,
-            )
+    if prov.embedding_path is None and prov.coords_path is None:
+        # synthetic coordinates also feed the per-round RMSD log, whatever the method reads
+        features = SyntheticFeatureProvider(
+            parental, seed=config.seed, embedding_dim=config.embedding_dim
+        )
+    elif _PROVIDER_FIELDS & _fields_for(spec):
+        features = FixtureFeatureProvider(
+            parental, embedding_path=prov.embedding_path, coords_path=prov.coords_path
+        )
 
+    # the synthetic antibody context and zero-shot table sample at `antibody_temperature`
     context = None
     if spec.kernel_kind == "kermut":
-        if spec.context_kind == "antibody":
-            if prov.antibody_structure == "synthetic":
-                context = synthetic_structure_context(
-                    parental, seed=config.seed, temperature=prov.antibody_temperature
-                )
-            else:
-                context = load_structure_context(
-                    prov.antibody_site_probs_path, prov.antibody_distances_path
-                )
-        elif prov.structure == "synthetic":
-            context = synthetic_structure_context(parental, seed=config.seed)
+        paths = contexts[spec.context_kind]
+        temperature = prov.antibody_temperature if spec.context_kind == "antibody" else 1.0
+        if paths is None:
+            context = synthetic_structure_context(parental, config.seed, temperature)
         else:
-            context = load_structure_context(prov.site_probs_path, prov.distances_path)
+            context = load_structure_context(*paths)
 
-    if prov.constraint == "synthetic":
-        constraint = PssmLikelihoodProvider(substitution_softmax_pssm(parental))
-    elif prov.constraint == "pssm":
+    if prov.constraint_table_path is not None:
+        constraint = TableLikelihoodProvider(load_likelihood_table(prov.constraint_table_path))
+    elif prov.constraint_pssm_path is not None:
         constraint = PssmLikelihoodProvider(load_pssm(prov.constraint_pssm_path))
     else:
-        constraint = TableLikelihoodProvider(load_likelihood_table(prov.constraint_table_path))
+        constraint = PssmLikelihoodProvider(substitution_softmax_pssm(parental))
 
     zero_shot = None
     if spec.mean_kind == "zero-shot":
-        if spec.mean_table == "antibody":
-            if prov.antibody_zero_shot == "synthetic":
-                probs = substitution_softmax_pssm(parental, prov.antibody_temperature)
-            else:
-                probs = load_pssm(prov.antibody_zero_shot_pssm_path)
-        elif prov.zero_shot == "synthetic":
-            probs = substitution_softmax_pssm(parental)
+        antibody = spec.mean_table == "antibody"
+        path = prov.antibody_zero_shot_pssm_path if antibody else prov.zero_shot_pssm_path
+        temperature = prov.antibody_temperature if antibody else 1.0
+        if path is None:
+            probs = substitution_softmax_pssm(parental, temperature)
         else:
-            probs = load_pssm(prov.zero_shot_pssm_path)
+            probs = load_pssm(path)
         zero_shot = np.log(np.maximum(probs, PROB_FLOOR))
 
     return _Providers(features, context, constraint, zero_shot)
@@ -636,10 +628,7 @@ def _build_kernel(spec: MethodSpec, providers: _Providers, config: CampaignConfi
     if spec.kernel_kind == "tanimoto":
         kernel: Kernel = TanimotoKernel(spec.representation)
     elif spec.kernel_kind == "matern52":
-        field_name = (
-            "embedding_coords" if spec.representation == "embedding+coords" else spec.representation
-        )
-        kernel = Matern52Kernel(field_name)
+        kernel = Matern52Kernel(spec.representation)
     elif spec.kernel_kind == "sum":
         kernel = SumKernel(
             [
@@ -762,8 +751,6 @@ def _fields_for(spec: MethodSpec) -> set[str]:
     rep = spec.representation
     if rep is None:
         return set()
-    if rep == "embedding+coords":
-        return {"embedding_coords"}
     if spec.kernel_kind == "sum":
         return {"coords", rep}
     return {rep}

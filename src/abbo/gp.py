@@ -231,15 +231,11 @@ def _hyperparameters(kernel: Kernel, mean: _MeanBase, noise: float) -> _Namespac
 
 @dataclass
 class Dataset:
-    """Observed sequences, their kernel inputs, and targets, kept in lockstep.
-
-    `inputs` is one `KernelInputs` batch (what campaigns use, and what Kermut
-    kernels and zero-shot means need), or a plain (n, d) array of row vectors
-    for vector kernels in direct regression use.
-    """
+    """Observed sequences, their kernel inputs as one `KernelInputs` batch, and
+    targets, kept in lockstep."""
 
     sequences: tuple[str, ...]
-    inputs: KernelInputs | np.ndarray
+    inputs: KernelInputs
     y: np.ndarray
 
     def __post_init__(self) -> None:
@@ -259,14 +255,10 @@ class Dataset:
         return len(self.sequences)
 
     def extended(self, sequences, inputs, y) -> "Dataset":
-        """This dataset followed by new points; `inputs` is of this dataset's kind."""
-        if isinstance(self.inputs, np.ndarray):
-            new_inputs = np.vstack([self.inputs, np.asarray(inputs, dtype=float)])
-        else:
-            new_inputs = self.inputs.concat(inputs)
+        """This dataset followed by new points, whose `inputs` batch has this one's fields."""
         return Dataset(
             self.sequences + tuple(sequences),
-            new_inputs,
+            self.inputs.concat(inputs),
             np.concatenate([self.y, np.asarray(y, dtype=float).ravel()]),
         )
 
@@ -380,10 +372,10 @@ class GPModel:
     def predict(self, query_inputs) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and standard deviation of the latent function.
 
-        `query_inputs` is of the training data's kind: a `KernelInputs` batch
-        or a 2-D array. A query costs one kernel `prepare`, one cross block
-        and one triangular solve, whatever its size. Tiny negative variances
-        from rounding are clamped to zero.
+        `query_inputs` is a `KernelInputs` batch with the training data's
+        fields. A query costs one kernel `prepare`, one cross block and one
+        triangular solve, whatever its size. Tiny negative variances from
+        rounding are clamped to zero.
         """
         prep_q = self.kernel.prepare(query_inputs)
         k_star = self.kernel.cross_prepared(self._prep, prep_q)

@@ -119,19 +119,11 @@ class KernelInputs:
         return owners, positions, parental[positions], self.residues[owners, positions]
 
 
-def _stack(inputs, field_name: str | None) -> np.ndarray:
-    """The (n, d) matrix a vector kernel reads: a 2-D array as it is, or a
-    batch's field."""
-    if isinstance(inputs, KernelInputs):
-        if field_name not in inputs.vectors:
-            raise ValueError(f"kernel input is missing vector field {field_name!r}")
-        inputs = inputs.vectors[field_name]
-    elif not isinstance(inputs, np.ndarray):
-        raise TypeError(f"expected KernelInputs or a 2-D array, got {type(inputs).__name__}")
-    arr = np.asarray(inputs, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a 2-D array of row vectors, got shape {arr.shape}")
-    return arr
+def _stack(inputs: KernelInputs, field_name: str) -> np.ndarray:
+    """The (n, d) matrix of a batch's vector field that a vector kernel reads."""
+    if field_name not in inputs.vectors:
+        raise ValueError(f"kernel input is missing vector field {field_name!r}")
+    return np.asarray(inputs.vectors[field_name], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +269,11 @@ class _VectorPrepared:
 class _VectorKernel(Kernel):
     """Shared plumbing for kernels operating on a single stacked vector field."""
 
-    def __init__(self, field_name: str | None = None):
+    def __init__(self, field_name: str):
         super().__init__()
         self.field_name = field_name
 
-    def prepare(self, inputs) -> _VectorPrepared:
+    def prepare(self, inputs: KernelInputs) -> _VectorPrepared:
         return _VectorPrepared(_stack(inputs, self.field_name))
 
     def _structure(self, x: np.ndarray) -> np.ndarray:
@@ -304,7 +296,7 @@ class TanimotoKernel(_VectorKernel):
     arbitrary real inputs.
     """
 
-    def __init__(self, field_name: str | None = None, variance: float = 1.0):
+    def __init__(self, field_name: str, variance: float = 1.0):
         super().__init__(field_name)
         self._values = {"variance": 1.0}
         self.set_param("variance", variance)
@@ -364,7 +356,7 @@ class Matern52Kernel(_VectorKernel):
 
     def __init__(
         self,
-        field_name: str | None = None,
+        field_name: str,
         variance: float = 1.0,
         lengthscale: float = 1.0,
     ):
@@ -404,7 +396,7 @@ class SquaredExponentialKernel(_VectorKernel):
 
     def __init__(
         self,
-        field_name: str | None = None,
+        field_name: str,
         variance: float = 1.0,
         lengthscale: float = 1.0,
     ):

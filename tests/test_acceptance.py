@@ -452,7 +452,7 @@ def test_soft_constraint_lifts_batch_likelihood(tmp_path, rng):
             method=method,
             seed=7,
             protocol=proto,
-            providers=ProviderConfig(constraint="pssm", constraint_pssm_path=str(pssm_path)),
+            providers=ProviderConfig(constraint_pssm_path=str(pssm_path)),
         )
         result = run_campaign(config)
         per_repeat[method] = [

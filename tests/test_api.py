@@ -1,18 +1,23 @@
 """The package's public names resolve, and so do the ones the benchmark's
-tracer (`bench/tracing.py`) wraps by name."""
+tracer (`bench/tracing.py`) wraps by name; README names every provider key."""
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import importlib.util
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
+import yaml
 
 import abbo
+from abbo.campaign import ProviderConfig
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "bench" / "tracing.py"
 MODULES = ["abbo"] + [
     f"abbo.{info.name}" for info in pkgutil.iter_modules(abbo.__path__) if info.name != "__main__"
 ]
@@ -41,3 +46,20 @@ def test_benchmark_tracer_installs_and_uninstalls():
     finally:
         tracer.uninstall()
     assert (abbo.gp.zero_shot_score, abbo.kernels.KermutKernel.prepare) == originals
+
+
+def test_readme_names_every_provider_key():
+    readme = (ROOT / "README.md").read_text()
+    keys = {f.name for f in dataclasses.fields(ProviderConfig)}
+    spans = set(re.findall(r"`([^`\n]+)`", readme))
+    assert keys <= spans, f"README does not name {sorted(keys - spans)}"
+    # the keys that once chose a provider's source are rejected now; no example sets one
+    kinds = {"features", "structure", "antibody_structure"}
+    kinds |= {"constraint", "zero_shot", "antibody_zero_shot"}
+    for block in re.findall(r"```yaml\n(.*?)```", readme, flags=re.S):
+        providers = yaml.safe_load(block).get("providers") or {}
+        assert set(providers) <= keys, f"README sets providers keys {sorted(set(providers) - keys)}"
+    dotted = set(re.findall(r"providers\.(\w+)", readme)) | set(
+        re.findall(r"providers: \{(\w+):", readme)
+    )
+    assert not dotted & kinds, f"README names deleted providers keys {sorted(dotted & kinds)}"

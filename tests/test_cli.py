@@ -190,6 +190,24 @@ def test_bad_parameter_override_is_config_error(tmp_path, capsys, command, overr
         pytest.param(
             {"ga": {"objective_set": "mean_std"}}, "ga: ['objective_set']", id="ga-objective-set"
         ),
+        # a provider's source follows its paths, so no key chooses it
+        *(
+            pytest.param({"providers": {key: "fixture"}}, f"providers: [{key!r}]", id=key)
+            for key in (
+                "features",
+                "structure",
+                "antibody_structure",
+                "constraint",
+                "zero_shot",
+                "antibody_zero_shot",
+            )
+        ),
+        # a synthetic oracle would not read the table
+        pytest.param(
+            {"oracle": {"kind": "synthetic-stability", "table": "/nonexistent/oracle.csv"}},
+            "oracle.table",
+            id="oracle-table-unread",
+        ),
     ],
 )
 def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, command, overrides, name):
@@ -223,7 +241,7 @@ def test_non_numeric_table_value_is_fixture_error(tmp_path, capsys, command, tab
     if table_use == "oracle":
         overrides = {"oracle": {"kind": "fixture", "table": str(table)}}
     else:
-        overrides = {"providers": {"constraint": "table", "constraint_table_path": str(table)}}
+        overrides = {"providers": {"constraint_table_path": str(table)}}
     config = write_config(tmp_path / "config.yaml", **overrides)
     code, message = run_or_validate(command, config, tmp_path / "x", capsys)
     assert code == (EXIT_FIXTURE if command == "run" else EXIT_VIOLATIONS)
@@ -260,7 +278,7 @@ def test_malformed_feature_fixture_is_fixture_error(tmp_path, capsys, command, b
         f"{PARENTAL[:-1]}A,{','.join(values[:-1] + [bad])}\n"
     )
     method = "ESM-M" if kind == "embedding" else "IgFold-M"
-    providers = {"features": "fixture", f"{kind}_path": str(fixture)}
+    providers = {f"{kind}_path": str(fixture)}
     config = write_config(tmp_path / "config.yaml", method=method, providers=providers)
     code, message = run_or_validate(command, config, tmp_path / "x", capsys)
     assert code == (EXIT_FIXTURE if command == "run" else EXIT_VIOLATIONS)
@@ -273,7 +291,7 @@ def test_collinear_parental_coordinates_fail_before_round_one(tmp_path, capsys, 
     coords = tmp_path / "coords.csv"
     line = ",".join(f"{i}.0,{2 * i}.0,{3 * i}.0" for i in range(len(PARENTAL)))
     coords.write_text(f"{PARENTAL},{line}\n")
-    providers = {"features": "fixture", "coords_path": str(coords)}
+    providers = {"coords_path": str(coords)}
     config = write_config(tmp_path / "config.yaml", method="IgFold-M", providers=providers)
     code, message = run_or_validate(command, config, tmp_path / "x", capsys)
     assert code == (EXIT_FIXTURE if command == "run" else EXIT_VIOLATIONS)
@@ -294,7 +312,7 @@ def test_sum_kernel_method_reads_coordinate_fixture(tmp_path, capsys, method):
             for seq in [PARENTAL, *pool]
         )
     )
-    providers = {"features": "fixture", "coords_path": str(coords)}
+    providers = {"coords_path": str(coords)}
     config = write_config(tmp_path / "config.yaml", method=method, providers=providers)
     assert main(["validate", "--config", str(config)]) == EXIT_OK
     assert "config ok" in capsys.readouterr().out
@@ -302,6 +320,61 @@ def test_sum_kernel_method_reads_coordinate_fixture(tmp_path, capsys, method):
     code, message = run_or_validate("run", config, tmp_path / "x", capsys)
     assert code == EXIT_FIXTURE
     assert "coordinate fixture has no entry" in message
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize(
+    "method, keys",
+    [
+        pytest.param("ESM-M", ["embedding_path"], id="embedding"),
+        pytest.param("IgFold-M", ["coords_path"], id="coords"),
+        pytest.param("IgFold-ESM-M", ["embedding_path", "coords_path"], id="embedding-coords"),
+        pytest.param("Kermut-T", ["site_probs_path", "distances_path"], id="context"),
+        pytest.param(
+            "AbMPNN-Kermut-T",
+            ["antibody_site_probs_path", "antibody_distances_path"],
+            id="antibody-context",
+        ),
+        pytest.param("C-OneHot-T", ["constraint_pssm_path"], id="constraint-pssm"),
+        pytest.param("C-OneHot-T", ["constraint_table_path"], id="constraint-table"),
+        pytest.param("Kermut-T", ["zero_shot_pssm_path"], id="zero-shot"),
+        pytest.param("AbSeq-Kermut-T", ["antibody_zero_shot_pssm_path"], id="antibody-zero-shot"),
+    ],
+)
+def test_set_provider_path_reads_its_fixture(tmp_path, capsys, command, method, keys):
+    # a set path selects the fixture, so a missing file is a fixture error, never synthetic data
+    providers = {key: str(tmp_path / f"missing_{key}.txt") for key in keys}
+    config = write_config(tmp_path / "config.yaml", method=method, providers=providers)
+    code, message = run_or_validate(command, config, tmp_path / "x", capsys)
+    assert code == (EXIT_FIXTURE if command == "run" else EXIT_VIOLATIONS)
+    assert f"missing_{keys[0]}.txt" in message
+    assert "does not exist" in message
+    assert not (tmp_path / "x" / "rounds.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("prefix", ["", "antibody_"])
+@pytest.mark.parametrize("half", ["site_probs_path", "distances_path"])
+def test_half_a_structure_context_is_config_error(tmp_path, capsys, command, prefix, half):
+    providers = {f"{prefix}{half}": str(tmp_path / "context.tsv")}
+    config = write_config(tmp_path / "config.yaml", method="Kermut-T", providers=providers)
+    code, message = run_or_validate(command, config, tmp_path / "x", capsys)
+    assert code == (EXIT_CONFIG if command == "run" else EXIT_VIOLATIONS)
+    assert f"providers.{prefix}site_probs_path" in message
+    assert f"providers.{prefix}distances_path" in message
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_both_constraint_paths_are_config_error(tmp_path, capsys, command):
+    providers = {
+        "constraint_pssm_path": str(tmp_path / "pssm.tsv"),
+        "constraint_table_path": str(tmp_path / "table.csv"),
+    }
+    config = write_config(tmp_path / "config.yaml", method="C-OneHot-T", providers=providers)
+    code, message = run_or_validate(command, config, tmp_path / "x", capsys)
+    assert code == (EXIT_CONFIG if command == "run" else EXIT_VIOLATIONS)
+    assert "providers.constraint_pssm_path" in message
+    assert "providers.constraint_table_path" in message
 
 
 def test_usage_error_code_differs_from_every_other_code(capsys):
