@@ -8,8 +8,10 @@ with
 
     PYTHONPATH=src python3 tests/test_reproducibility.py
 
-and paste them into GOLDEN and GOLDEN_FIT. The script also names the entries
-that differ from the committed ones, the cases a re-baseline moves.
+and paste them into GOLDEN and GOLDEN_FIT. METHODS pins the designs of every
+registered method name on a smaller campaign the same way. The script also
+names the entries that differ from the committed ones, the cases a
+re-baseline moves.
 """
 
 from __future__ import annotations
@@ -66,6 +68,55 @@ GOLDEN_FIT = {
     "C-Kermut-BLO-T": "75658fd14c24ab8a",
     "Const-Kermut-T": "5922ee5bda840576",
 }
+
+
+# Every registered method name under `method_config`: its designs' digest.
+# Several methods read the same one because a one-round search from ten
+# labels does not always tell their surrogates apart.
+METHODS = {
+    "AbBoth-Kermut-BLO-T": "f8b8b6442d025409",
+    "AbMPNN-Kermut-T": "08e095d1954b9be3",
+    "AbSeq-Kermut-T": "52b03eeea6ee457e",
+    "BLO-T": "55fa3052bd9781ec",
+    "Const-Kermut-T": "3923561794668fab",
+    "ESM-M": "f6bcc06d88c0ff04",
+    "IgFold-BLO-T": "b7efd1931aed991b",
+    "IgFold-ESM-M": "f6bcc06d88c0ff04",
+    "IgFold-M": "f6bcc06d88c0ff04",
+    "Kermut-BLO-T": "08ffbf0f2d0e545f",
+    "Kermut-T": "52b03eeea6ee457e",
+    "OneHot-T": "6921f889a7a45cac",
+    "Random": "e9d841737b8393a3",
+    "C-AbBoth-Kermut-BLO-T": "815da890c3444723",
+    "C-AbMPNN-Kermut-T": "dff3e2332ea6d42b",
+    "C-AbSeq-Kermut-T": "e279bfc174f129da",
+    "C-BLO-T": "5051a97d7c43be25",
+    "C-Const-Kermut-T": "f0169bc623c36ab4",
+    "C-IgFold-BLO-T": "f52cdb5480a88119",
+    "C-IgFold-ESM-M": "56e1a4d11a227914",
+    "C-IgFold-M": "95fb7b49c00b05a6",
+    "C-Kermut-BLO-T": "54c6f6eb29185197",
+    "C-Kermut-T": "e279bfc174f129da",
+    "C-OneHot-T": "78c4311e20c45f2e",
+}
+
+
+def method_config(method: str) -> CampaignConfig:
+    """One round from ten labels: small enough to run every method name."""
+    return CampaignConfig(
+        parental=PARENTAL,
+        method=method,
+        seed=4,
+        protocol=ProtocolConfig(
+            initial_pool_size=30,
+            initial_sample_size=10,
+            rounds=1,
+            batch_size=12,
+            drop_count=4,
+            repeats=1,
+        ),
+        ga=GAConfig(population_size=16, generations=3),
+    )
 
 
 def small_config(method: str) -> CampaignConfig:
@@ -146,6 +197,11 @@ def test_golden_fingerprint(method):
 @pytest.mark.parametrize("method", sorted(GOLDEN_FIT))
 def test_golden_fit(method):
     assert fit_digest(golden_log(method)) == GOLDEN_FIT[method]
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_method_fingerprint(method):
+    assert fingerprint(method_config(method)) == METHODS[method]
 
 
 def test_seeded_campaign_does_not_depend_on_blas_threads():
@@ -229,12 +285,13 @@ def test_missing_thread_control_warns_once_and_runs(monkeypatch):
 if __name__ == "__main__":
     moved = []
     for name, committed, digest in (
-        ("GOLDEN", GOLDEN, design_digest),
-        ("GOLDEN_FIT", GOLDEN_FIT, fit_digest),
+        ("GOLDEN", GOLDEN, lambda method: design_digest(golden_log(method))),
+        ("GOLDEN_FIT", GOLDEN_FIT, lambda method: fit_digest(golden_log(method))),
+        ("METHODS", METHODS, lambda method: fingerprint(method_config(method))),
     ):
         print(f"{name} = {{")
         for method in committed:
-            value = digest(golden_log(method))
+            value = digest(method)
             print(f"    {method!r}: {value!r},")
             if value != committed[method]:
                 moved.append(f"{name}[{method!r}]")
