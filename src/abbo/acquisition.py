@@ -100,7 +100,12 @@ def soft_constrain(likelihood, acquisition):
 
 
 def default_reference_point(values: np.ndarray) -> np.ndarray:
-    """Componentwise min minus 5% of the range (with a floor for flat dimensions)."""
+    """Componentwise min minus 5% of the range (with a floor for flat dimensions).
+
+    A pad below the minimum's float resolution would round away and leave the
+    minimum with a zero return; the reference is then the next float below it,
+    so it always lies strictly below every candidate.
+    """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
         raise ValueError(f"expected an (l, t) objective matrix, got shape {values.shape}")
@@ -108,7 +113,7 @@ def default_reference_point(values: np.ndarray) -> np.ndarray:
     span = values.max(axis=0) - lo
     pad = 0.05 * span
     pad[span == 0] = 1e-6
-    return lo - pad
+    return np.minimum(lo - pad, np.nextafter(lo, -np.inf))
 
 
 @dataclass

@@ -82,6 +82,16 @@ def test_default_reference_handles_flat_dimension():
     assert ref[1] == pytest.approx(2.0 - 0.05 * 3.0)
 
 
+def test_default_reference_lies_below_a_spread_under_float_resolution():
+    # a fit at its lengthscale floor gave means this close; the 5% pad rounds
+    # away, and a reference at the minimum gave that candidate a zero return
+    lo = 0.16935819875280836
+    up = np.nextafter(lo, 1.0)
+    problem = PortfolioProblem(np.array([lo, up, up]), np.array([0.3, 0.2, 0.1]))
+    assert np.all(problem.reference < problem.values.min(axis=0))
+    assert len(select_batch(problem, 2)) == 2
+
+
 def test_hand_worked_two_candidate_portfolio():
     # candidates normalized to alpha = (0.5, 1) and (1, 0.5):
     # p11 = p22 = 0.5, p12 = 0.25, so Q12 = 0.25 - 0.25 = 0
