@@ -10,11 +10,9 @@ from .acquisition import (
     PortfolioProblem,
     build_portfolio,
     default_reference_point,
-    expected_improvement,
     select_batch,
     soft_constrain,
     solve_sharpe,
-    upper_confidence_bound,
 )
 from .campaign import (
     METHOD_REGISTRY,
@@ -131,8 +129,6 @@ __all__ = [
     "build_portfolio",
     "solve_sharpe",
     "select_batch",
-    "expected_improvement",
-    "upper_confidence_bound",
     "soft_constrain",
     "default_reference_point",
     # ga

@@ -1,10 +1,10 @@
 """Acquisition functions and portfolio-style batch selection.
 
-Single-point criteria (expected improvement, UCB, the feasibility-weighted and
-likelihood-weighted variants) are simple closed forms. Batch selection treats
-the candidate front as a portfolio: each candidate's "return" and pairwise
-"covariance" come from box probabilities against a reference point, and the
-batch is read off the maximum-Sharpe-ratio allocation.
+The soft constraint multiplies acquisition values by sequence likelihoods.
+Batch selection treats the candidate front as a portfolio: each candidate's
+"return" and pairwise "covariance" come from box probabilities against a
+reference point, and the batch is read off the maximum-Sharpe-ratio
+allocation.
 """
 
 from __future__ import annotations
@@ -14,13 +14,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtr
 
 from .exceptions import NumericalError
 
 __all__ = [
-    "expected_improvement",
-    "upper_confidence_bound",
     "soft_constrain",
     "default_reference_point",
     "PortfolioProblem",
@@ -30,48 +27,9 @@ __all__ = [
     "write_acquisition_csv",
 ]
 
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
-
-
-def _norm_pdf(u: np.ndarray) -> np.ndarray:
-    return _INV_SQRT_2PI * np.exp(-0.5 * u**2)
-
-
-def expected_improvement(mean, std, incumbent: float):
-    """Expected improvement over `incumbent` for a maximization problem.
-
-    At std = 0 the integral collapses to max(mean - incumbent, 0). Scalar
-    inputs give a scalar back; arrays broadcast elementwise.
-    """
-    mean_arr, std_arr = np.broadcast_arrays(
-        np.asarray(mean, dtype=float), np.asarray(std, dtype=float)
-    )
-    if np.any(std_arr < 0):
-        raise ValueError("standard deviations must be nonnegative")
-    gap = mean_arr - float(incumbent)
-    out = np.maximum(gap, 0.0)
-    positive = std_arr > 0
-    if np.any(positive):
-        u = gap[positive] / std_arr[positive]
-        out = np.array(out, dtype=float)
-        out[positive] = gap[positive] * ndtr(u) + std_arr[positive] * _norm_pdf(u)
-    if np.ndim(mean) == 0 and np.ndim(std) == 0:
-        return float(out)
-    return out
-
-
-def upper_confidence_bound(mean, std, beta: float = 2.0):
-    """mean + beta * std with beta >= 0."""
-    if beta < 0:
-        raise ValueError(f"beta must be nonnegative, got {beta}")
-    mean_arr = np.asarray(mean, dtype=float)
-    std_arr = np.asarray(std, dtype=float)
-    if np.any(std_arr < 0):
-        raise ValueError("standard deviations must be nonnegative")
-    out = mean_arr + beta * std_arr
-    if np.ndim(mean) == 0 and np.ndim(std) == 0:
-        return float(out)
-    return out
+# the Sharpe solver's safeguard on active-set changes, and its KKT tolerance
+_SHARPE_MAX_ITER = 5000
+_SHARPE_TOL = 1e-12
 
 
 def _check_unit_interval(p, name: str) -> np.ndarray:
@@ -189,7 +147,7 @@ def build_portfolio(problem: PortfolioProblem) -> tuple[np.ndarray, np.ndarray]:
     return r, q
 
 
-def _simplex_qp_active_set(m: np.ndarray, max_iter: int, tol: float) -> np.ndarray:
+def _simplex_qp_active_set(m: np.ndarray) -> np.ndarray:
     """Minimize x.M.x over the unit simplex for symmetric positive definite M.
 
     Primal active-set method with exact face solves. On the current support
@@ -200,17 +158,17 @@ def _simplex_qp_active_set(m: np.ndarray, max_iter: int, tol: float) -> np.ndarr
     row collapses to the loading epsilon). A negative face entry triggers the
     usual blocking step to the first coordinate hitting zero, which then
     leaves the support; an all-nonnegative face either certifies optimality
-    through the KKT multipliers (slack within `tol` of zero, relative to the
-    multiplier scale) or admits the most violating index. Each accepted face
-    strictly improves the objective, so termination is finite and `max_iter`
-    is only a safeguard.
+    through the KKT multipliers (slack within `_SHARPE_TOL` of zero, relative
+    to the multiplier scale) or admits the most violating index. Each accepted
+    face strictly improves the objective, so termination is finite and
+    `_SHARPE_MAX_ITER` is only a safeguard.
     """
     n = m.shape[0]
     diag = np.diag(m).copy()
     x = np.zeros(n)
     x[int(np.argmin(diag))] = 1.0
     active = x > 0
-    for _ in range(max_iter):
+    for _ in range(_SHARPE_MAX_ITER):
         idx = np.flatnonzero(active)
         scale = 1.0 / np.sqrt(diag[idx])
         scaled = m[np.ix_(idx, idx)] * np.outer(scale, scale)
@@ -230,7 +188,7 @@ def _simplex_qp_active_set(m: np.ndarray, max_iter: int, tol: float) -> np.ndarr
             slack = gradient - nu
             slack[idx] = np.inf
             worst = int(np.argmin(slack))
-            if slack[worst] >= -tol * max(1.0, abs(nu)):
+            if slack[worst] >= -_SHARPE_TOL * max(1.0, abs(nu)):
                 return x
             active[worst] = True
         else:
@@ -245,17 +203,11 @@ def _simplex_qp_active_set(m: np.ndarray, max_iter: int, tol: float) -> np.ndarr
             x[blocker] = 0.0
             active[blocker] = False
     raise NumericalError(
-        f"Sharpe solver did not converge within {max_iter} active-set iterations"
+        f"Sharpe solver did not converge within {_SHARPE_MAX_ITER} active-set iterations"
     )
 
 
-def solve_sharpe(
-    r: np.ndarray,
-    q: np.ndarray,
-    *,
-    max_iter: int = 5000,
-    tol: float = 1e-12,
-) -> np.ndarray:
+def solve_sharpe(r: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Simplex weights maximizing the Sharpe ratio r.z / sqrt(z.Q.z).
 
     Solved through the standard transformation: minimize y.Q.y subject to
@@ -267,7 +219,7 @@ def solve_sharpe(
     row, leaving the quadratic conditioned like 1/epsilon, where gradient
     methods stall. The substitution also makes the answer invariant under
     positive rescaling of r. Raises NumericalError if the active set has not
-    settled within `max_iter` changes.
+    settled within `_SHARPE_MAX_ITER` changes.
     """
     r = np.asarray(r, dtype=float).ravel()
     q = np.asarray(q, dtype=float)
@@ -292,7 +244,7 @@ def solve_sharpe(
     q_loaded = q + eps * np.eye(n)
 
     m = q_loaded / np.outer(r, r)
-    x = _simplex_qp_active_set((m + m.T) / 2.0, max_iter, tol)
+    x = _simplex_qp_active_set((m + m.T) / 2.0)
     y = x / r
     return y / y.sum()
 

@@ -910,10 +910,6 @@ class CampaignLog:
     def best_so_far_series(self) -> np.ndarray:
         return np.array([rec.best_so_far for rec in self.records])
 
-    @property
-    def final_size(self) -> int:
-        return self.records[-1].n_data
-
 
 @dataclass
 class CampaignResult:
@@ -955,6 +951,19 @@ def _derived_rng(seed: int, *tags: int) -> np.random.Generator:
 
 def _derived_int(seed: int, *tags: int) -> int:
     return int(np.random.SeedSequence([seed, *tags]).generate_state(1)[0])
+
+
+def _fit(asm: _Assembly, dataset: Dataset, restarts: int, seed: int) -> GPModel:
+    """The method's GP fitted to `dataset` under the config's noise settings."""
+    return fit_gp(
+        dataset,
+        asm.kernel,
+        asm.mean,
+        noise=asm.config.gp.noise_init,
+        fit_noise=asm.config.gp.fit_noise,
+        restarts=restarts,
+        seed=seed,
+    )
 
 
 def _batch_objectives(asm: _Assembly, model: GPModel) -> Callable[[list[str]], np.ndarray]:
@@ -1003,14 +1012,8 @@ def _run_round(
             for i, s in enumerate(acquired_seqs)
         ]
     else:
-        model = fit_gp(
-            dataset,
-            asm.kernel,
-            asm.mean,
-            noise=config.gp.noise_init,
-            fit_noise=config.gp.fit_noise,
-            restarts=config.gp.restarts,
-            seed=_derived_int(repeat_seed, _TAG_FIT, round_index),
+        model = _fit(
+            asm, dataset, config.gp.restarts, _derived_int(repeat_seed, _TAG_FIT, round_index)
         )
         hyper = model.hyperparameters()
         log_ml = model.log_marginal_likelihood()
@@ -1050,7 +1053,7 @@ def _run_round(
 
         objs = np.stack(cand_objs)
         means, stds = objs[:, 0], objs[:, 1]
-        likelihoods = objs[:, 2] if constrained else constraint.pseudo_likelihoods(candidates)
+        likelihoods = constraint.pseudo_likelihoods(candidates)
         problem = PortfolioProblem(
             means, stds, likelihoods=likelihoods if constrained else None
         )
@@ -1069,7 +1072,7 @@ def _run_round(
             )
             for i in sel
         ]
-        likelihoods = np.array([rec.likelihood for rec in sel_records])
+        likelihoods = likelihoods[sel]
 
     drop_rng = _derived_rng(repeat_seed, _TAG_DROP, round_index)
     drop_positions = set(
@@ -1113,7 +1116,6 @@ def run_campaign(
     config: CampaignConfig,
     *,
     verbose: bool = False,
-    progress: Callable[[str], None] | None = None,
     front_dump_dir: str | Path | None = None,
 ) -> CampaignResult:
     """Run all repeats of the configured campaign and return the full logs.
@@ -1121,13 +1123,11 @@ def run_campaign(
     Repeat i uses seed `config.seed + i`. The mutant pool, oracle, and feature
     providers derive from the base seed alone, so repeats (and different
     methods on the same seed) share the landscape and starting pool and differ
-    only in sampling, optimization, and attrition randomness.
+    only in sampling, optimization, and attrition randomness. With
+    `front_dump_dir`, every GA generation's front is written under it.
     """
     asm = _assemble(config)
-    say = progress if progress is not None else (print if verbose else None)
-    front_dir = (
-        Path(front_dump_dir) if front_dump_dir is not None and config.dump_fronts else None
-    )
+    front_dir = None if front_dump_dir is None else Path(front_dump_dir)
 
     logs: list[CampaignLog] = []
     for repeat in range(config.protocol.repeats):
@@ -1135,8 +1135,8 @@ def run_campaign(
         dataset = _initial_dataset(asm, repeat_seed)
         best = float(np.max(dataset.y))
         records = [RoundRecord(round_index=0, n_data=len(dataset), best_so_far=best)]
-        if say:
-            say(
+        if verbose:
+            print(
                 f"[{config.method} rep {repeat}] round 0: n={len(dataset)} "
                 f"best={best:.4f}"
             )
@@ -1147,8 +1147,8 @@ def run_campaign(
                     asm, dataset, repeat_seed, round_index, front_writer
                 )
             records.append(record)
-            if say:
-                say(
+            if verbose:
+                print(
                     f"[{config.method} rep {repeat}] round {round_index}: "
                     f"n={record.n_data} best={record.best_so_far:.4f} "
                     f"padded={record.n_padded}"
@@ -1218,15 +1218,7 @@ def validate_campaign(config: CampaignConfig) -> list[str]:
             )
         dataset = _initial_dataset(asm, config.seed)
         if asm.kernel is not None:
-            fit_gp(
-                dataset,
-                asm.kernel,
-                asm.mean,
-                noise=config.gp.noise_init,
-                fit_noise=config.gp.fit_noise,
-                restarts=1,
-                seed=config.seed,
-            )
+            _fit(asm, dataset, 1, config.seed)
     except (FixtureError, ConfigError) as err:
         problems.append(str(err))
     except Exception as err:  # dry-run failures should be reported, not crash

@@ -81,8 +81,6 @@ def _apply_overrides(config: CampaignConfig, args: argparse.Namespace) -> Campai
     if args.method is not None:
         config = dataclasses.replace(config, method=args.method)
     if args.rounds is not None:
-        if args.rounds < 1:
-            raise ConfigError(f"--rounds must be >= 1, got {args.rounds}")
         config = dataclasses.replace(
             config, protocol=dataclasses.replace(config.protocol, rounds=args.rounds)
         )

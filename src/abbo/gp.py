@@ -49,6 +49,9 @@ NOISE_BOUNDS = (1e-8, 10.0)
 # escalation schedule: 0, then 1e-10 .. 1e-4 times the mean diagonal
 _JITTER_STEPS = 7
 
+# L-BFGS-B iterations of each fit restart
+_FIT_MAX_ITER = 200
+
 
 def _jitter_schedule(mean_diag: float) -> list[float]:
     """Diagonal jitters to try in order, scaled by the matrix's mean diagonal."""
@@ -426,7 +429,6 @@ def fit_gp(
     fit_noise: bool = True,
     restarts: int = 8,
     seed: int = 0,
-    max_iter: int = 200,
 ) -> GPModel:
     """Fit hyperparameters by maximizing the log marginal likelihood.
 
@@ -524,7 +526,7 @@ def fit_gp(
                 jac=True,
                 method="L-BFGS-B",
                 bounds=internal_bounds,
-                options={"maxiter": max_iter},
+                options={"maxiter": _FIT_MAX_ITER},
             )
             candidates.append((result.fun, result.x))
         for fun, u in candidates:

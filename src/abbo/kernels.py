@@ -349,8 +349,9 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(d2, 0.0)
 
 
-class Matern52Kernel(_VectorKernel):
-    """Matern-5/2 on Euclidean distance with a scalar lengthscale."""
+class _StationaryKernel(_VectorKernel):
+    """A variance times a function of the Euclidean distance over a scalar
+    lengthscale, so every point's prior variance is `variance`."""
 
     _BOUNDS = {"variance": (1e-6, 1e3), "lengthscale": (1e-3, 1e3)}
 
@@ -364,6 +365,13 @@ class Matern52Kernel(_VectorKernel):
         self._values = {"variance": 1.0, "lengthscale": 1.0}
         self.set_param("variance", variance)
         self.set_param("lengthscale", lengthscale)
+
+    def diag_prepared(self, prep: _VectorPrepared) -> np.ndarray:
+        return np.full(prep.x.shape[0], self._values["variance"])
+
+
+class Matern52Kernel(_StationaryKernel):
+    """Matern-5/2 on Euclidean distance with a scalar lengthscale."""
 
     def _eval(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         var = self._values["variance"]
@@ -385,25 +393,9 @@ class Matern52Kernel(_VectorKernel):
     def cross_prepared(self, prep_a: _VectorPrepared, prep_b: _VectorPrepared) -> np.ndarray:
         return self._eval(np.sqrt(_sq_dists(prep_a.x, prep_b.x)))[0]
 
-    def diag_prepared(self, prep: _VectorPrepared) -> np.ndarray:
-        return np.full(prep.x.shape[0], self._values["variance"])
 
-
-class SquaredExponentialKernel(_VectorKernel):
+class SquaredExponentialKernel(_StationaryKernel):
     """Gaussian kernel exp(-r^2 / (2 lengthscale^2)) scaled by a variance."""
-
-    _BOUNDS = {"variance": (1e-6, 1e3), "lengthscale": (1e-3, 1e3)}
-
-    def __init__(
-        self,
-        field_name: str,
-        variance: float = 1.0,
-        lengthscale: float = 1.0,
-    ):
-        super().__init__(field_name)
-        self._values = {"variance": 1.0, "lengthscale": 1.0}
-        self.set_param("variance", variance)
-        self.set_param("lengthscale", lengthscale)
 
     def _eval(self, d2: np.ndarray) -> np.ndarray:
         ell = self._values["lengthscale"]
@@ -423,9 +415,6 @@ class SquaredExponentialKernel(_VectorKernel):
 
     def cross_prepared(self, prep_a: _VectorPrepared, prep_b: _VectorPrepared) -> np.ndarray:
         return self._eval(_sq_dists(prep_a.x, prep_b.x))
-
-    def diag_prepared(self, prep: _VectorPrepared) -> np.ndarray:
-        return np.full(prep.x.shape[0], self._values["variance"])
 
 
 # ---------------------------------------------------------------------------
@@ -459,42 +448,23 @@ class _Combinator(Kernel):
 
 
 class SumKernel(_Combinator):
-    """Weighted sum of child kernels; weights are fixed and nonnegative.
+    """Sum of child kernels.
 
-    Learnable overall scales belong to the children's variance parameters, so
-    the weights default to 1 and are not hyperparameters.
+    Overall scales are the children's variance parameters, so a sum carries
+    no weights of its own.
     """
-
-    def __init__(
-        self,
-        children: Sequence[tuple[str, Kernel]],
-        weights: Sequence[float] | None = None,
-    ):
-        super().__init__(children)
-        if weights is None:
-            weights = [1.0] * len(self.children)
-        if len(weights) != len(self.children):
-            raise ValueError("one weight per child kernel required")
-        if any(w < 0 for w in weights):
-            raise ValueError(f"weights must be nonnegative, got {list(weights)}")
-        self.weights = [float(w) for w in weights]
 
     def gram_grad_prepared(self, prep):
         grams, contracts = self._child_grams(prep)
-        total = sum(w * k for w, k in zip(self.weights, grams))
-        return total, lambda w: self._contract_children(contracts, [c * w for c in self.weights])
+        # each child's derivative enters K unscaled, so all contract the one W: none writes to it
+        return sum(grams), lambda w: self._contract_children(contracts, [w] * len(contracts))
 
     def cross_prepared(self, prep_a, prep_b) -> np.ndarray:
-        return sum(
-            w * child.cross_prepared(pa, pb)
-            for w, (_, child), pa, pb in zip(self.weights, self.children, prep_a, prep_b)
-        )
+        pairs = zip(self.children, prep_a, prep_b)
+        return sum(child.cross_prepared(pa, pb) for (_, child), pa, pb in pairs)
 
     def diag_prepared(self, prep) -> np.ndarray:
-        return sum(
-            w * child.diag_prepared(p)
-            for w, (_, child), p in zip(self.weights, self.children, prep)
-        )
+        return sum(child.diag_prepared(p) for (_, child), p in zip(self.children, prep))
 
 
 class ProductKernel(_Combinator):

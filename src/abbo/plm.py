@@ -3,9 +3,8 @@
 Real masked language models are deliberately out of scope. Campaigns either
 load frozen tables from fixture files or synthesize a conservative
 position-specific scoring matrix from substitution-matrix similarity to the
-parental sequence. Both routes expose the same queries: a pseudo-likelihood
-per sequence (`pseudo_likelihood`, or `pseudo_likelihoods` for a batch) and a
-per-site log-probability table.
+parental sequence. Both routes expose the same query: a pseudo-likelihood
+per sequence (`pseudo_likelihood`, or `pseudo_likelihoods` for a batch).
 """
 
 from __future__ import annotations
@@ -84,19 +83,14 @@ class PssmLikelihoodProvider:
         logp = np.log(np.maximum(p, PROB_FLOOR))
         return np.exp(logp.mean(axis=1))
 
-    def log_prob_table(self) -> np.ndarray:
-        """(L, 20) table of floored log-probabilities."""
-        return np.log(np.maximum(self.probs, PROB_FLOOR))
-
 
 class TableLikelihoodProvider:
     """Likelihoods read verbatim from a sequence -> value fixture mapping.
 
-    Used when a campaign replays likelihoods exported from a real model. There
-    is no per-site table unless one is supplied alongside.
+    Used when a campaign replays likelihoods exported from a real model.
     """
 
-    def __init__(self, table: dict[str, float], probs: np.ndarray | None = None):
+    def __init__(self, table: dict[str, float]):
         if not table:
             raise FixtureError("likelihood table is empty")
         for seq, val in table.items():
@@ -106,7 +100,6 @@ class TableLikelihoodProvider:
                     f"likelihood for {seq[:12]}... must lie in (0, 1], got {val}"
                 )
         self.table = dict(table)
-        self._pssm = None if probs is None else _check_pssm(probs)
 
     def pseudo_likelihood(self, seq: str) -> float:
         validate_sequence(seq)
@@ -120,13 +113,6 @@ class TableLikelihoodProvider:
     def pseudo_likelihoods(self, seqs) -> np.ndarray:
         """Pseudo-likelihoods of a batch of sequences, one lookup each."""
         return np.array([self.pseudo_likelihood(seq) for seq in seqs], dtype=float)
-
-    def log_prob_table(self) -> np.ndarray:
-        if self._pssm is None:
-            raise FixtureError(
-                "this likelihood provider has no per-site probability table"
-            )
-        return np.log(np.maximum(self._pssm, PROB_FLOOR))
 
 
 def substitution_softmax_pssm(parental: str, temperature: float = 1.0) -> np.ndarray:

@@ -1,61 +1,19 @@
 import numpy as np
 import pytest
-from scipy import integrate, stats
 
 from abbo.acquisition import (
     PortfolioProblem,
     build_portfolio,
     default_reference_point,
-    expected_improvement,
     select_batch,
     soft_constrain,
     solve_sharpe,
-    upper_confidence_bound,
 )
 from conftest import sharpe_ratio, simplex_grid
 
 
 # ---------------------------------------------------------------------------
-# single-point acquisitions
-
-
-def test_expected_improvement_at_zero_gap():
-    # mean == incumbent, unit std: EI = phi(0), the standard normal density
-    assert expected_improvement(1.0, 1.0, 1.0) == pytest.approx(0.3989422804014327)
-
-
-def test_expected_improvement_matches_quadrature(rng):
-    for _ in range(25):
-        mean = float(rng.uniform(-2, 2))
-        std = float(rng.uniform(0.1, 2.0))
-        best = float(rng.uniform(-2, 2))
-        # integrand is smooth above the incumbent, so start the panel there
-        oracle, err = integrate.quad(
-            lambda f: (f - best) * stats.norm.pdf(f, mean, std),
-            best,
-            max(best, mean) + 14 * std,
-            limit=400,
-            epsabs=1e-13,
-            epsrel=1e-13,
-        )
-        assert expected_improvement(mean, std, best) == pytest.approx(oracle, abs=1e-10)
-
-
-def test_expected_improvement_zero_std_reduces_to_relu():
-    assert expected_improvement(2.0, 0.0, 1.5) == pytest.approx(0.5)
-    assert expected_improvement(1.0, 0.0, 1.5) == 0.0
-
-
-def test_expected_improvement_vectorized(rng):
-    means = rng.standard_normal(6)
-    stds = np.abs(rng.standard_normal(6)) + 0.1
-    out = expected_improvement(means, stds, 0.0)
-    assert out.shape == (6,)
-    assert np.all(out >= 0)
-
-
-def test_upper_confidence_bound():
-    assert upper_confidence_bound(1.0, 0.5, beta=2.0) == pytest.approx(2.0)
+# soft constraint
 
 
 def test_soft_constrain_multiplies():

@@ -227,10 +227,10 @@ def _two_field_inputs(rng, n):
 def test_sum_and_product_match_manual_combination(rng):
     inputs = _two_field_inputs(rng, 5)
     ka, kb = TanimotoKernel("a"), Matern52Kernel("b")
-    total = SumKernel([("t", ka), ("m", kb)], weights=[0.6, 0.4])
+    total = SumKernel([("t", ka), ("m", kb)])
     prod = ProductKernel([("t", TanimotoKernel("a")), ("m", Matern52Kernel("b"))])
     ga_, gb = ka.gram(inputs), kb.gram(inputs)
-    assert np.allclose(total.gram(inputs), 0.6 * ga_ + 0.4 * gb)
+    assert np.allclose(total.gram(inputs), ga_ + gb)
     assert np.allclose(prod.gram(inputs), ga_ * gb)
 
 
@@ -249,7 +249,7 @@ def test_combinator_parameter_namespacing(rng):
 def test_combinator_gradients_match_finite_differences(rng):
     inputs = _two_field_inputs(rng, 4)
     for kernel in (
-        SumKernel([("t", TanimotoKernel("a")), ("m", Matern52Kernel("b"))], [0.7, 0.3]),
+        SumKernel([("t", TanimotoKernel("a")), ("m", Matern52Kernel("b"))]),
         ProductKernel([("t", TanimotoKernel("a", 1.3)), ("m", Matern52Kernel("b", 0.8, 1.6))]),
     ):
         prep = kernel.prepare(inputs)

@@ -81,8 +81,6 @@ def test_table_provider_roundtrip_and_missing():
         TableLikelihoodProvider({"ACD": 1.5})
     with pytest.raises(FixtureError):
         TableLikelihoodProvider({})
-    with pytest.raises(FixtureError):
-        provider.log_prob_table()
 
 
 def test_substitution_softmax_rows_normalized():
