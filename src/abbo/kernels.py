@@ -456,7 +456,8 @@ class SumKernel(_Combinator):
 
     def gram_grad_prepared(self, prep):
         grams, contracts = self._child_grams(prep)
-        # each child's derivative enters K unscaled, so all contract the one W: none writes to it
+        # every child's derivative enters K unscaled, so all children contract the
+        # one W, and no contraction may write to it
         return sum(grams), lambda w: self._contract_children(contracts, [w] * len(contracts))
 
     def cross_prepared(self, prep_a, prep_b) -> np.ndarray:
