@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import numbers
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, get_args, get_type_hints
 
 import numpy as np
 import yaml
@@ -149,11 +151,9 @@ def resolve_method(name: str) -> tuple[MethodSpec, bool]:
     return METHOD_REGISTRY[base], constrained
 
 
-def registered_method_names(include_constrained: bool = True) -> list[str]:
+def registered_method_names() -> list[str]:
     names = sorted(METHOD_REGISTRY)
-    if include_constrained:
-        names += [f"{CONSTRAINED_PREFIX}{n}" for n in sorted(METHOD_REGISTRY) if n != "Random"]
-    return names
+    return names + [f"{CONSTRAINED_PREFIX}{n}" for n in names if n != "Random"]
 
 
 # ---------------------------------------------------------------------------
@@ -278,20 +278,85 @@ def _require_keys(section: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-def _require_type(value, kind: type, where: str) -> None:
-    """Raise a ConfigError naming `where` unless `value` is of `kind`.
+# config keys that differ from their dataclass field's name
+_CONFIG_KEYS = {"table_path": "table", "kernel_overrides": "kernel", "mean_overrides": "mean"}
+# fields that no key sets: each round derives the GA seed and objective set (`_run_round`)
+_DERIVED_FIELDS = {GAConfig: frozenset({"seed", "objective_set"})}
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
 
-    `kind` is bool, int or float; a bool is neither an int nor a float here,
-    and an int is a float.
+
+def _config_key(name: str, where: str) -> str:
+    """The dotted config key of field `name` of section `where` ("" for the root)."""
+    key = _CONFIG_KEYS.get(name, name)
+    return f"{where}.{key}" if where else key
+
+
+# a config class's field annotations, looked up once per class
+_field_hints = functools.cache(get_type_hints)
+
+
+def _check_types(cls: type, values: dict, where: str) -> None:
+    """Raise a ConfigError naming the key of the first value in `values` that
+    does not match its field's bool, int, float or str annotation of `cls`.
+
+    `X | None` also takes None; a bool is neither an int nor a float here,
+    and an int is a float. Fields of other types are not checked.
     """
-    if kind is bool:
-        ok = isinstance(value, bool)
-    else:
-        number = numbers.Integral if kind is int else numbers.Real
-        ok = isinstance(value, number) and not isinstance(value, bool)
-    if not ok:
-        expected = {bool: "true or false", int: "an integer", float: "a number"}[kind]
-        raise ConfigError(f"{where} must be {expected}, got {value!r}")
+    for name, hint in _field_hints(cls).items():
+        if name not in values:
+            continue
+        value = values[name]
+        args = get_args(hint) or (hint,)
+        kind = next((k for k in args if k in _TYPE_NAMES), None)
+        if kind is None or (value is None and type(None) in args):
+            continue
+        if kind in (bool, str):
+            ok = isinstance(value, kind)
+        else:
+            number = numbers.Integral if kind is int else numbers.Real
+            ok = isinstance(value, number) and not isinstance(value, bool)
+        if not ok:
+            raise ConfigError(
+                f"{_config_key(name, where)} must be {_TYPE_NAMES[kind]}, got {value!r}"
+            )
+
+
+def _mapping(value, where: str) -> dict:
+    """A config section's mapping; an absent (null) section is empty."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"config section {where!r} must be a mapping, got {value!r}")
+    return dict(value)
+
+
+def _read_config(cls: type, raw: dict, where: str, base: Path):
+    """Build the config dataclass `cls` from its section `raw` ("" is the root).
+
+    The allowed keys are the fields of `cls`, renamed by `_CONFIG_KEYS` and
+    less `_DERIVED_FIELDS`. Scalar values are type-checked against the
+    field annotations, every `*_path` value resolves against `base`, a
+    dataclass-typed field reads its own section, and a `dict` field takes a
+    mapping as it is. Range and contradiction checks are the dataclass's own.
+    """
+    derived = _DERIVED_FIELDS.get(cls, frozenset())
+    names = {
+        _CONFIG_KEYS.get(f.name, f.name): f.name
+        for f in dataclasses.fields(cls)
+        if f.name not in derived
+    }
+    _require_keys(raw, set(names), where or "config root")
+    values = {names[key]: value for key, value in raw.items()}
+    _check_types(cls, values, where)
+    for name, value in values.items():
+        hint, key = _field_hints(cls)[name], _config_key(name, where)
+        if name.endswith("_path") and value is not None:
+            values[name] = str(base / value)  # `/` keeps an absolute path as it is
+        elif dataclasses.is_dataclass(hint):
+            values[name] = _read_config(hint, _mapping(value, key), key, base)
+        elif hint is dict:
+            values[name] = _mapping(value, key)
+    return cls(**values)
 
 
 @dataclass
@@ -304,6 +369,7 @@ class ProtocolConfig:
     repeats: int = 3
 
     def __post_init__(self) -> None:
+        _check_types(ProtocolConfig, vars(self), "protocol")
         for name in (
             "initial_pool_size",
             "initial_sample_size",
@@ -311,10 +377,8 @@ class ProtocolConfig:
             "batch_size",
             "repeats",
         ):
-            _require_type(getattr(self, name), int, f"protocol.{name}")
             if getattr(self, name) < 1:
                 raise ConfigError(f"protocol.{name} must be >= 1")
-        _require_type(self.drop_count, int, "protocol.drop_count")
         if self.drop_count < 0:
             raise ConfigError("protocol.drop_count must be >= 0")
         if self.drop_count >= self.batch_size:
@@ -345,20 +409,20 @@ class OracleConfig:
     KINDS = ("synthetic-affinity", "synthetic-stability", "fixture")
 
     def __post_init__(self) -> None:
+        _check_types(OracleConfig, vars(self), "oracle")
         if self.kind not in self.KINDS:
             raise ConfigError(f"oracle.kind must be one of {self.KINDS}, got {self.kind!r}")
         if self.kind == "fixture" and not self.table_path:
             raise ConfigError("oracle.kind 'fixture' needs oracle.table")
         if self.kind != "fixture" and self.table_path is not None:
             raise ConfigError(f"oracle.table is read only by kind 'fixture', not {self.kind!r}")
-        if self.seed is not None:
-            _require_type(self.seed, int, "oracle.seed")
 
 
 @dataclass
 class ProviderConfig:
     """Fixture paths of the providers: each provider replays its fixtures when
-    its path is set and is synthetic otherwise (`_build_providers`)."""
+    its path is set and is synthetic otherwise (`_build_providers`). A set
+    path that the method does not read (`_provider_keys`) is a ConfigError."""
 
     embedding_path: str | None = None
     coords_path: str | None = None
@@ -366,16 +430,13 @@ class ProviderConfig:
     distances_path: str | None = None
     antibody_site_probs_path: str | None = None
     antibody_distances_path: str | None = None
-    antibody_temperature: float = 0.8
     constraint_pssm_path: str | None = None
     constraint_table_path: str | None = None
     zero_shot_pssm_path: str | None = None
     antibody_zero_shot_pssm_path: str | None = None
 
     def __post_init__(self) -> None:
-        _require_type(self.antibody_temperature, float, "providers.antibody_temperature")
-        if self.antibody_temperature <= 0:
-            raise ConfigError("providers.antibody_temperature must be positive")
+        _check_types(ProviderConfig, vars(self), "providers")
 
 
 @dataclass
@@ -385,9 +446,7 @@ class GPConfig:
     fit_noise: bool = True
 
     def __post_init__(self) -> None:
-        _require_type(self.restarts, int, "gp.restarts")
-        _require_type(self.noise_init, float, "gp.noise_init")
-        _require_type(self.fit_noise, bool, "gp.fit_noise")
+        _check_types(GPConfig, vars(self), "gp")
         if self.restarts < 1:
             raise ConfigError("gp.restarts must be >= 1")
         if self.noise_init <= 0:
@@ -412,117 +471,28 @@ class CampaignConfig:
     gp: GPConfig = field(default_factory=GPConfig)
     kernel_overrides: dict = field(default_factory=dict)
     mean_overrides: dict = field(default_factory=dict)
-    embedding_dim: int = 64
     dump_fronts: bool = False
 
     def __post_init__(self) -> None:
-        validate_sequence(self.parental)
+        _check_types(CampaignConfig, vars(self), "")
+        try:
+            validate_sequence(self.parental)
+        except ValueError as err:
+            raise ConfigError(f"parental sequence: {err}") from None
         if len(self.parental) < 3:
             raise ConfigError("parental sequence must have length >= 3")
         resolve_method(self.method)
-        _require_type(self.seed, int, "seed")
-        _require_type(self.embedding_dim, int, "embedding_dim")
-        _require_type(self.dump_fronts, bool, "dump_fronts")
-        if self.embedding_dim < 1:
-            raise ConfigError("embedding_dim must be >= 1")
 
     @classmethod
     def from_dict(cls, raw: dict, base_dir: str | Path = ".") -> "CampaignConfig":
-        import os
-
-        allowed = {
-            "parental",
-            "method",
-            "seed",
-            "protocol",
-            "oracle",
-            "providers",
-            "ga",
-            "gp",
-            "kernel",
-            "mean",
-            "embedding_dim",
-            "dump_fronts",
-        }
+        """The config of a parsed YAML mapping; relative paths resolve against
+        `base_dir`, or against `$ABBO_FIXTURE_ROOT` when that is set."""
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a mapping")
-        _require_keys(raw, allowed, "config root")
         if "parental" not in raw:
             raise ConfigError("config is missing the required 'parental' key")
-
         fixture_root = os.environ.get("ABBO_FIXTURE_ROOT")
-        base = Path(fixture_root) if fixture_root else Path(base_dir)
-
-        def resolve(p):
-            if p is None:
-                return None
-            path = Path(str(p))
-            return str(path if path.is_absolute() else base / path)
-
-        def section(name: str) -> dict:
-            value = raw.get(name) or {}
-            if not isinstance(value, dict):
-                raise ConfigError(f"config section {name!r} must be a mapping")
-            return dict(value)
-
-        try:
-            protocol = ProtocolConfig(**section("protocol"))
-        except TypeError as err:
-            raise ConfigError(f"bad protocol section: {err}") from None
-
-        oracle_raw = section("oracle")
-        _require_keys(oracle_raw, {"kind", "seed", "table"}, "oracle")
-        oracle = OracleConfig(
-            kind=oracle_raw.get("kind", "synthetic-affinity"),
-            seed=oracle_raw.get("seed"),
-            table_path=resolve(oracle_raw.get("table")),
-        )
-
-        prov_raw = section("providers")
-        _require_keys(prov_raw, {f.name for f in dataclasses.fields(ProviderConfig)}, "providers")
-        for key in prov_raw:
-            if key.endswith("_path"):
-                prov_raw[key] = resolve(prov_raw[key])
-        providers = ProviderConfig(**prov_raw)
-
-        # each round derives the GA seed and objective set itself (`_run_round`)
-        ga_raw = section("ga")
-        ga_types = {
-            "population_size": int,
-            "generations": int,
-            "max_mutations": int,
-            "mutation_rate": float,
-            "crossover_probability": float,
-        }
-        _require_keys(ga_raw, set(ga_types), "ga")
-        for name, kind in ga_types.items():
-            if ga_raw.get(name) is not None:
-                _require_type(ga_raw[name], kind, f"ga.{name}")
-        try:
-            ga = GAConfig(**ga_raw)
-        except (TypeError, ValueError) as err:
-            raise ConfigError(f"bad ga section: {err}") from None
-
-        gp_raw = section("gp")
-        try:
-            gp = GPConfig(**gp_raw)
-        except TypeError as err:
-            raise ConfigError(f"bad gp section: {err}") from None
-
-        return cls(
-            parental=raw["parental"],
-            method=raw.get("method", "OneHot-T"),
-            seed=raw.get("seed", 0),
-            protocol=protocol,
-            oracle=oracle,
-            providers=providers,
-            ga=ga,
-            gp=gp,
-            kernel_overrides=section("kernel"),
-            mean_overrides=section("mean"),
-            embedding_dim=raw.get("embedding_dim", 64),
-            dump_fronts=raw.get("dump_fronts", False),
-        )
+        return _read_config(cls, raw, "", Path(fixture_root or base_dir))
 
     @classmethod
     def from_yaml(cls, path: str | Path) -> "CampaignConfig":
@@ -542,11 +512,13 @@ class CampaignConfig:
 
 # representation fields that only a feature provider can supply
 _PROVIDER_FIELDS = frozenset({"embedding", "coords", "embedding_coords"})
+# the synthetic antibody context and zero-shot table sample at this temperature
+_ANTIBODY_TEMPERATURE = 0.8
 
 
 @dataclass
 class _Providers:
-    features: SyntheticFeatureProvider | FixtureFeatureProvider | None
+    features: SyntheticFeatureProvider | FixtureFeatureProvider
     context: StructureContext | None  # Kermut's, standard or antibody
     constraint: PssmLikelihoodProvider | TableLikelihoodProvider
     zero_shot: np.ndarray | None  # log-probabilities of the zero-shot mean
@@ -569,6 +541,24 @@ def _context_paths(prov: ProviderConfig, prefix: str) -> tuple[str, str] | None:
     return None if paths[0] is None else paths
 
 
+def _provider_keys(spec: MethodSpec) -> set[str]:
+    """The `providers:` path keys that a method of `spec` reads."""
+    fields = _fields_for(spec)
+    # every method logs its batches' pseudo-likelihoods
+    keys = {"constraint_pssm_path", "constraint_table_path"}
+    if fields & {"embedding", "embedding_coords"}:
+        keys.add("embedding_path")
+    if fields & {"coords", "embedding_coords"}:
+        keys.add("coords_path")
+    if spec.kernel_kind == "kermut":
+        prefix = "antibody_" if spec.context_kind == "antibody" else ""
+        keys |= {f"{prefix}site_probs_path", f"{prefix}distances_path"}
+    if spec.mean_kind == "zero-shot":
+        antibody = spec.mean_table == "antibody"
+        keys.add("antibody_zero_shot_pssm_path" if antibody else "zero_shot_pssm_path")
+    return keys
+
+
 def _build_providers(config: CampaignConfig, spec: MethodSpec) -> _Providers:
     """Each provider replays its fixture paths when they are set, else is synthetic."""
     prov = config.providers
@@ -579,23 +569,27 @@ def _build_providers(config: CampaignConfig, spec: MethodSpec) -> _Providers:
             "providers.constraint_pssm_path and providers.constraint_table_path "
             "are alternatives; set at most one"
         )
+    read = _provider_keys(spec)
+    for key, path in vars(prov).items():
+        if path is not None and key not in read:
+            readers = [name for name, s in METHOD_REGISTRY.items() if key in _provider_keys(s)]
+            raise ConfigError(
+                f"providers.{key} is set, but {config.method} does not read it; "
+                f"it is read by {', '.join(readers)}"
+            )
 
-    features = None
     if prov.embedding_path is None and prov.coords_path is None:
         # synthetic coordinates also feed the per-round RMSD log, whatever the method reads
-        features = SyntheticFeatureProvider(
-            parental, seed=config.seed, embedding_dim=config.embedding_dim
-        )
-    elif _PROVIDER_FIELDS & _fields_for(spec):
+        features = SyntheticFeatureProvider(parental, seed=config.seed)
+    else:
         features = FixtureFeatureProvider(
             parental, embedding_path=prov.embedding_path, coords_path=prov.coords_path
         )
 
-    # the synthetic antibody context and zero-shot table sample at `antibody_temperature`
     context = None
     if spec.kernel_kind == "kermut":
         paths = contexts[spec.context_kind]
-        temperature = prov.antibody_temperature if spec.context_kind == "antibody" else 1.0
+        temperature = _ANTIBODY_TEMPERATURE if spec.context_kind == "antibody" else 1.0
         if paths is None:
             context = synthetic_structure_context(parental, config.seed, temperature)
         else:
@@ -612,7 +606,7 @@ def _build_providers(config: CampaignConfig, spec: MethodSpec) -> _Providers:
     if spec.mean_kind == "zero-shot":
         antibody = spec.mean_table == "antibody"
         path = prov.antibody_zero_shot_pssm_path if antibody else prov.zero_shot_pssm_path
-        temperature = prov.antibody_temperature if antibody else 1.0
+        temperature = _ANTIBODY_TEMPERATURE if antibody else 1.0
         if path is None:
             probs = substitution_softmax_pssm(parental, temperature)
         else:
@@ -704,7 +698,7 @@ class _Representer:
         self,
         parental: str,
         fields: set[str],
-        features: SyntheticFeatureProvider | FixtureFeatureProvider | None,
+        features: SyntheticFeatureProvider | FixtureFeatureProvider,
     ):
         self.parental = parental
         self.fields = fields
@@ -719,13 +713,7 @@ class _Representer:
         m = len(seqs)
         vectors = {name: table[idx].reshape(m, -1) for name, table in self._tables.items()}
         bundle = None
-        if _PROVIDER_FIELDS & self.fields:
-            if self.features is None:
-                raise ConfigError(
-                    "method needs embeddings or coordinates but no feature provider is configured"
-                )
-            bundle = self.features.features_many(seqs)
-        elif rmsd and self.features is not None and self.features.parental_coords is not None:
+        if _PROVIDER_FIELDS & self.fields or (rmsd and self.features.parental_coords is not None):
             bundle = self.features.features_many(seqs)
         if "embedding" in self.fields:
             if bundle.embedding is None:

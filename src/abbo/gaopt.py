@@ -23,6 +23,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .exceptions import ConfigError
 from .sequences import ALPHABET, residue_indices, validate_sequence
 
 __all__ = [
@@ -58,22 +59,22 @@ class GAConfig:
 
     def __post_init__(self) -> None:
         if self.population_size < 4 or self.population_size % 2:
-            raise ValueError(
-                f"population_size must be an even number >= 4, got {self.population_size}"
+            raise ConfigError(
+                f"ga.population_size must be an even number >= 4, got {self.population_size}"
             )
         if self.generations < 1:
-            raise ValueError(f"generations must be >= 1, got {self.generations}")
+            raise ConfigError(f"ga.generations must be >= 1, got {self.generations}")
         if self.mutation_rate is not None and not 0.0 < self.mutation_rate <= 1.0:
-            raise ValueError(f"mutation_rate must lie in (0, 1], got {self.mutation_rate}")
+            raise ConfigError(f"ga.mutation_rate must lie in (0, 1], got {self.mutation_rate}")
         if not 0.0 <= self.crossover_probability <= 1.0:
-            raise ValueError(
-                f"crossover_probability must lie in [0, 1], got {self.crossover_probability}"
+            raise ConfigError(
+                f"ga.crossover_probability must lie in [0, 1], got {self.crossover_probability}"
             )
         if self.max_mutations is not None and self.max_mutations < 1:
-            raise ValueError(f"max_mutations must be >= 1, got {self.max_mutations}")
+            raise ConfigError(f"ga.max_mutations must be >= 1, got {self.max_mutations}")
         if self.objective_set not in OBJECTIVE_SETS:
-            raise ValueError(
-                f"objective_set must be one of {OBJECTIVE_SETS}, got {self.objective_set!r}"
+            raise ConfigError(
+                f"ga.objective_set must be one of {OBJECTIVE_SETS}, got {self.objective_set!r}"
             )
 
 

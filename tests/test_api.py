@@ -1,5 +1,6 @@
 """The package's public names resolve, and so do the ones the benchmark's
-tracer (`bench/tracing.py`) wraps by name; README names every provider key."""
+tracer (`bench/tracing.py`) wraps by name; README names every provider key
+and the methods that read it."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import pytest
 import yaml
 
 import abbo
-from abbo.campaign import ProviderConfig
+from abbo.campaign import METHOD_REGISTRY, ProviderConfig, _provider_keys
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "bench" / "tracing.py"
@@ -63,3 +64,14 @@ def test_readme_names_every_provider_key():
         re.findall(r"providers: \{(\w+):", readme)
     )
     assert not dotted & kinds, f"README names deleted providers keys {sorted(dotted & kinds)}"
+    # each row of the Providers table names the base methods that read its keys
+    section = readme.split("## Providers", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:-1] for line in section.splitlines() if line.startswith("| `")]
+    assert {key for row in rows for key in re.findall(r"`(\w+)`", row[0])} == keys
+    for row in rows:
+        listed = set(re.findall(r"`([^`]+)`", row[2]))
+        if "every method" in row[2]:
+            listed |= set(METHOD_REGISTRY)
+        for key in re.findall(r"`(\w+)`", row[0]):
+            readers = {name for name, s in METHOD_REGISTRY.items() if key in _provider_keys(s)}
+            assert listed == readers, f"README's readers of {key}: {sorted(listed)}"

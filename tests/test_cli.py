@@ -1,11 +1,20 @@
 import csv
+import dataclasses
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from abbo.campaign import CampaignConfig, _assemble
+from abbo.campaign import (
+    CampaignConfig,
+    GPConfig,
+    OracleConfig,
+    ProtocolConfig,
+    ProviderConfig,
+    _assemble,
+)
 from abbo.cli import (
     EXIT_CONFIG,
     EXIT_FIXTURE,
@@ -17,6 +26,7 @@ from abbo.cli import (
     main,
 )
 from abbo.features import SyntheticFeatureProvider
+from abbo.gaopt import GAConfig
 
 PARENTAL = "MKTAYIAKQRQISFVKSHFSRQ"
 
@@ -161,16 +171,58 @@ def test_bad_parameter_override_is_config_error(tmp_path, capsys, command, overr
     assert "available: [" in message
 
 
+# each config section and the dataclass it reads into ("" is the root)
+SECTIONS = {
+    "": CampaignConfig,
+    "protocol": ProtocolConfig,
+    "oracle": OracleConfig,
+    "providers": ProviderConfig,
+    "ga": GAConfig,
+    "gp": GPConfig,
+}
+# a value of the wrong type for each scalar annotation
+WRONG_TYPE = {bool: "no", int: 1.5, float: "abc", str: 5}
+
+
+def wrong_type_cases():
+    """One case per scalar field of every section: its key set to a value of another type."""
+    for section, cls in SECTIONS.items():
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            if cls is GAConfig and f.name in ("seed", "objective_set"):
+                continue  # derived by each round, so not a key
+            hint = hints[f.name]
+            kinds = [k for k in typing.get_args(hint) or (hint,) if k in WRONG_TYPE]
+            if not kinds:
+                continue
+            key = "table" if f.name == "table_path" else f.name
+            value = WRONG_TYPE[kinds[0]]
+            overrides = {section: {key: value}} if section else {key: value}
+            name = f"{section}.{key}" if section else key
+            yield pytest.param(overrides, name, id=f"{name}-wrong-type")
+
+
 @pytest.mark.parametrize("command", ["run", "validate"])
 @pytest.mark.parametrize(
     "overrides, name",
     [
+        *wrong_type_cases(),
+        *(
+            pytest.param({section: {"bogus": 1}}, f"unknown keys in {section}", id=f"{section}-key")
+            for section in SECTIONS
+            if section
+        ),
+        pytest.param({"bogus": 1}, "unknown keys in config root", id="root-key"),
+        pytest.param({"parental": PARENTAL[:-2] + "GX"}, "parental", id="parental-non-canonical"),
+        pytest.param({"protocol": 0}, "section 'protocol'", id="protocol-number"),
+        pytest.param({"gp": False}, "section 'gp'", id="gp-false"),
+        pytest.param({"kernel": ""}, "section 'kernel'", id="kernel-empty-text"),
         pytest.param({"seed": "abc"}, "seed", id="seed-text"),
         pytest.param({"seed": 1.7}, "seed", id="seed-fraction"),
         pytest.param({"embedding_dim": "abc"}, "embedding_dim", id="embedding-dim-text"),
         pytest.param(
             {"providers": {"antibody_temperature": "abc"}},
-            "providers.antibody_temperature",
+            "providers: ['antibody_temperature']",
             id="temperature-text",
         ),
         pytest.param({"dump_fronts": "no"}, "dump_fronts", id="dump-fronts-text"),
@@ -201,6 +253,25 @@ def test_bad_parameter_override_is_config_error(tmp_path, capsys, command, overr
                 "zero_shot",
                 "antibody_zero_shot",
             )
+        ),
+        # a set provider path that the method does not read
+        pytest.param(
+            {"providers": {"site_probs_path": "s.tsv", "distances_path": "d.tsv"}},
+            "providers.site_probs_path is set, but OneHot-T does not read it; "
+            "it is read by Kermut-T, Kermut-BLO-T, Const-Kermut-T, AbSeq-Kermut-T",
+            id="context-unread",
+        ),
+        pytest.param(
+            {"providers": {"coords_path": "c.csv"}},
+            "providers.coords_path is set, but OneHot-T does not read it; "
+            "it is read by IgFold-M, IgFold-ESM-M, IgFold-BLO-T",
+            id="coords-unread",
+        ),
+        pytest.param(
+            {"method": "Const-Kermut-T", "providers": {"zero_shot_pssm_path": "z.tsv"}},
+            "providers.zero_shot_pssm_path is set, but Const-Kermut-T does not read it; "
+            "it is read by Kermut-T, Kermut-BLO-T, AbMPNN-Kermut-T",
+            id="zero-shot-unread",
         ),
         # a synthetic oracle would not read the table
         pytest.param(
