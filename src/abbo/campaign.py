@@ -46,6 +46,7 @@ from .plm import (
     PROB_FLOOR,
     PssmLikelihoodProvider,
     TableLikelihoodProvider,
+    _table_entry,
     load_likelihood_table,
     load_pssm,
     substitution_softmax_pssm,
@@ -260,10 +261,7 @@ class FixtureOracle:
                 raise FixtureError(f"oracle fixture label for sequence {seq!r} is {label}")
 
     def value(self, seq: str) -> float:
-        try:
-            return self.table[seq]
-        except KeyError:
-            raise FixtureError(f"oracle fixture has no value for sequence {seq!r}") from None
+        return _table_entry(self.table, "oracle", seq)
 
     __call__ = value
 
@@ -643,27 +641,30 @@ def _apply_param_overrides(target, overrides: dict, section: str) -> None:
     """Apply a `kernel:` or `mean:` config section to a kernel or prior mean.
 
     Each entry is `name: value` or `name: {value: ..., frozen: true|false}`.
-    An unknown name, a value the parameter rejects or a non-boolean `frozen`
-    is a ConfigError naming `section.name` and the available names.
+    An unknown name, a value that is not a number (a bool or a string is
+    not) or that the parameter rejects, or a non-boolean `frozen` is a
+    ConfigError naming `section.name` and the available names.
     """
     for name, setting in overrides.items():
         name, where = str(name), f"{section}.{name}"
         if not isinstance(setting, dict):
             setting = {"value": setting}
         _require_keys(setting, {"value", "frozen"}, where)
-        frozen = setting.get("frozen", False)
+        value, frozen = setting.get("value"), setting.get("frozen", False)
+        available = f"available: {sorted(target.params())}"
+        # the rule of `_check_types` for a float field
+        if "value" in setting and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+            raise ConfigError(f"{where} must be a number, got {value!r}; {available}")
         try:
             if not isinstance(frozen, bool):
                 raise ValueError(f"frozen must be true or false, got {frozen!r}")
             if "value" in setting:
-                target.set_param(name, float(setting["value"]))
+                target.set_param(name, float(value))
             if frozen:
                 target.freeze(name)
-        except (KeyError, TypeError, ValueError) as err:
+        except (KeyError, ValueError) as err:
             problem = "unknown hyperparameter" if isinstance(err, KeyError) else f"bad value: {err}"
-            raise ConfigError(
-                f"{where}: {problem}; available: {sorted(target.params())}"
-            ) from None
+            raise ConfigError(f"{where}: {problem}; {available}") from None
 
 
 def _build_mean(spec: MethodSpec, providers: _Providers, config: CampaignConfig):

@@ -18,14 +18,19 @@ checked and aligned by stacked SVDs over (m, N, 3) and (m, 3, 3) arrays.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .exceptions import FixtureError
-from .plm import _check_pssm, substitution_softmax_pssm
+from .plm import (
+    _check_pssm,
+    _table_entry,
+    load_pssm,
+    load_sequence_table,
+    substitution_softmax_pssm,
+)
 from .sequences import AA_INDEX, ALPHABET, residue_indices, validate_sequence
 
 __all__ = [
@@ -178,6 +183,8 @@ def _check_distances(distances: np.ndarray) -> np.ndarray:
     distances = np.asarray(distances, dtype=float)
     if distances.ndim != 2 or distances.shape[0] != distances.shape[1]:
         raise ValueError(f"distance matrix must be square, got {distances.shape}")
+    if not np.all(np.isfinite(distances)):
+        raise ValueError("distance matrix is not finite")
     if np.any(distances < 0):
         raise ValueError("distance matrix has negative entries")
     if not np.allclose(distances, distances.T, atol=1e-9):
@@ -287,8 +294,6 @@ def load_structure_context(
     site_probs_path: str | Path, distances_path: str | Path
 ) -> StructureContext:
     """Structure context from fixture files (TSV probabilities, square distances)."""
-    from .plm import load_pssm
-
     probs = load_pssm(site_probs_path)
     dpath = Path(distances_path)
     if not dpath.exists():
@@ -300,7 +305,7 @@ def load_structure_context(
     try:
         return StructureContext(site_probs=probs, distances=distances)
     except ValueError as err:
-        raise FixtureError(str(err)) from err
+        raise FixtureError(f"distance fixture {dpath}: {err}") from err
 
 
 class SyntheticFeatureProvider:
@@ -404,63 +409,22 @@ class SyntheticFeatureProvider:
         )
 
 
-def _fixture_rows(path: Path, kind: str):
-    """(sequence, finite float values) of each data row of a fixture CSV."""
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not row or row[0].startswith("#") or row[0].lower() == "sequence":
-                continue
-            try:
-                values = np.array([float(v) for v in row[1:]], dtype=float)
-            except ValueError as err:
-                raise FixtureError(
-                    f"{kind} fixture {path}: bad row {reader.line_num}: {err}"
-                ) from None
-            if not np.all(np.isfinite(values)):
-                raise FixtureError(
-                    f"{kind} fixture {path}: row {reader.line_num} has a non-finite value"
-                )
-            yield row[0].strip(), values
-
-
 def load_embedding_fixture(path: str | Path) -> dict[str, np.ndarray]:
-    """CSV of `sequence,v0,v1,...` rows; all vectors must share one dimension."""
-    path = Path(path)
-    if not path.exists():
-        raise FixtureError(f"embedding fixture {path} does not exist")
-    table: dict[str, np.ndarray] = {}
-    dim: int | None = None
-    for seq, vec in _fixture_rows(path, "embedding"):
-        if dim is None:
-            dim = vec.size
-        elif vec.size != dim:
-            raise FixtureError(
-                f"embedding fixture {path}: inconsistent dimensions "
-                f"({vec.size} vs {dim})"
-            )
-        table[seq] = vec
-    if not table:
-        raise FixtureError(f"embedding fixture {path} has no entries")
-    return table
+    """CSV of `sequence,v0,v1,...` rows (`load_sequence_table`): one vector each."""
+    return load_sequence_table(path, "embedding")
 
 
 def load_coords_fixture(path: str | Path) -> dict[str, np.ndarray]:
-    """CSV of `sequence,x0,y0,z0,x1,...` rows; coordinate count must be 3L."""
-    path = Path(path)
-    if not path.exists():
-        raise FixtureError(f"coordinate fixture {path} does not exist")
-    table: dict[str, np.ndarray] = {}
-    for seq, flat in _fixture_rows(path, "coordinate"):
+    """CSV of `sequence,x0,y0,z0,x1,...` rows (`load_sequence_table`); coordinate
+    count must be 3L, and each row is returned as an (L, 3) array."""
+    table = load_sequence_table(path, "coordinate")
+    for seq, flat in table.items():
         if flat.size != 3 * len(seq):
             raise FixtureError(
                 f"coordinate fixture {path}: sequence of length {len(seq)} "
                 f"needs {3 * len(seq)} values, got {flat.size}"
             )
-        table[seq] = flat.reshape(-1, 3)
-    if not table:
-        raise FixtureError(f"coordinate fixture {path} has no entries")
-    return table
+    return {seq: flat.reshape(-1, 3) for seq, flat in table.items()}
 
 
 class FixtureFeatureProvider:
@@ -511,22 +475,13 @@ class FixtureFeatureProvider:
         """Features of a batch of sequences: one lookup per sequence and one
         stacked alignment onto the parental frame."""
         seqs = list(seqs)
-        for seq in seqs:
-            validate_sequence(seq)
         embedding = None
         if self._embeddings is not None:
-            embedding = np.stack([self._lookup(self._embeddings, "embedding", s) for s in seqs])
+            embedding = np.stack([_table_entry(self._embeddings, "embedding", s) for s in seqs])
         coords = rmsd = None
         if self._frame is not None:
-            raw = np.stack([self._lookup(self._coords, "coordinate", s) for s in seqs])
+            raw = np.stack([_table_entry(self._coords, "coordinate", s) for s in seqs])
             aligned, rmsd = self._frame.align_many(raw)
             coords = aligned.reshape(len(seqs), -1)
         self.computations += len(seqs)
         return FeatureBundle(embedding=embedding, coords=coords, rmsd=rmsd)
-
-    @staticmethod
-    def _lookup(table: dict[str, np.ndarray], kind: str, seq: str) -> np.ndarray:
-        try:
-            return table[seq]
-        except KeyError:
-            raise FixtureError(f"{kind} fixture has no entry for sequence {seq!r}") from None

@@ -26,6 +26,7 @@ __all__ = [
     "concentrated_pssm",
     "load_pssm",
     "load_likelihood_table",
+    "load_sequence_table",
 ]
 
 # Probabilities below this are floored before taking logs.
@@ -36,6 +37,8 @@ def _check_pssm(probs: np.ndarray) -> np.ndarray:
     probs = np.asarray(probs, dtype=float)
     if probs.ndim != 2 or probs.shape[1] != len(ALPHABET):
         raise ValueError(f"PSSM must have shape (L, 20), got {probs.shape}")
+    if not np.all(np.isfinite(probs)):
+        raise ValueError("PSSM contains values that are not finite")
     if np.any(probs < 0):
         raise ValueError("PSSM contains negative probabilities")
     sums = probs.sum(axis=1)
@@ -102,13 +105,7 @@ class TableLikelihoodProvider:
         self.table = dict(table)
 
     def pseudo_likelihood(self, seq: str) -> float:
-        validate_sequence(seq)
-        try:
-            return self.table[seq]
-        except KeyError:
-            raise FixtureError(
-                f"no fixture likelihood for sequence {seq!r}"
-            ) from None
+        return _table_entry(self.table, "likelihood", seq)
 
     def pseudo_likelihoods(self, seqs) -> np.ndarray:
         """Pseudo-likelihoods of a batch of sequences, one lookup each."""
@@ -170,27 +167,69 @@ def load_pssm(path: str | Path) -> np.ndarray:
         raise FixtureError(f"invalid PSSM in {path}: {err}") from err
 
 
+def load_sequence_table(path: str | Path, kind: str) -> dict[str, np.ndarray]:
+    """Load a CSV of `sequence,v0,v1,...` rows as {sequence: values}.
+
+    Every sequence-keyed fixture (oracle labels, likelihoods, embeddings and
+    coordinates) is read here, under these rules. Blank lines, `#` comments
+    and a `sequence`/`seq` header before the first entry are skipped. Each
+    sequence is canonical and listed once, and every row carries the same
+    nonzero number of finite values. Any other row is a FixtureError naming
+    the `kind` of fixture, the file, the row and the sequence.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise FixtureError(f"{kind} fixture {path} does not exist")
+    table: dict[str, np.ndarray] = {}
+    width = 0
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
+            cells = [cell.strip() for cell in row]
+            if not any(cells) or cells[0].startswith("#"):
+                continue
+            if not table and cells[0].lower() in ("sequence", "seq"):
+                continue
+            seq = cells[0]
+            where = f"{kind} fixture {path}, row {reader.line_num}, sequence {seq!r}"
+            try:
+                if not seq:
+                    raise ValueError("the sequence is empty")
+                validate_sequence(seq)
+                values = np.array([float(v) for v in cells[1:]])
+                if seq in table:
+                    raise ValueError("the sequence is listed twice")
+                if not values.size or (table and values.size != width):
+                    raise ValueError(f"{values.size} values, where a row needs {width or 'some'}")
+                if not np.all(np.isfinite(values)):
+                    raise ValueError(f"value {values[~np.isfinite(values)][0]} is not finite")
+            except ValueError as err:
+                raise FixtureError(f"{where}: {err}") from None
+            table[seq], width = values, values.size
+    if not table:
+        raise FixtureError(f"{kind} fixture {path} has no entries")
+    return table
+
+
 def load_likelihood_table(path: str | Path) -> dict[str, float]:
-    """Load a CSV of `sequence,value` pairs (header optional).
+    """Load a CSV of `sequence,value` rows (`load_sequence_table`, one value a row).
 
     Oracle tables and likelihood tables share this reader; the range a value
     must lie in is checked by whoever consumes the table.
     """
-    path = Path(path)
-    if not path.exists():
-        raise FixtureError(f"fixture table {path} does not exist")
-    table: dict[str, float] = {}
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not row or row[0].startswith("#"):
-                continue
-            if row[0].lower() in ("sequence", "seq"):
-                continue
-            try:
-                table[row[0].strip()] = float(row[1])
-            except (IndexError, ValueError):
-                raise FixtureError(f"bad row {reader.line_num} in {path}: {row!r}") from None
-    if not table:
-        raise FixtureError(f"fixture table {path} has no entries")
-    return table
+    table = load_sequence_table(path, "table")
+    width = next(iter(table.values())).size
+    if width != 1:
+        raise FixtureError(f"table fixture {path}: each row has {width} values, not one")
+    return {seq: float(values[0]) for seq, values in table.items()}
+
+
+def _table_entry(table: dict, kind: str, seq: str):
+    """The entry of `seq` in a sequence-keyed fixture table, or a FixtureError
+    naming the fixture `kind` and the sequence."""
+    value = table.get(seq)
+    if value is None:
+        raise FixtureError(
+            f"no value for sequence {seq!r}: the {kind} fixture has no entry for it"
+        )
+    return value

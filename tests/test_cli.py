@@ -25,8 +25,9 @@ from abbo.cli import (
     EXIT_VIOLATIONS,
     main,
 )
-from abbo.features import SyntheticFeatureProvider
+from abbo.features import SyntheticFeatureProvider, synthetic_structure_context
 from abbo.gaopt import GAConfig
+from abbo.sequences import ALPHABET
 
 PARENTAL = "MKTAYIAKQRQISFVKSHFSRQ"
 
@@ -226,6 +227,15 @@ def wrong_type_cases():
             id="temperature-text",
         ),
         pytest.param({"dump_fronts": "no"}, "dump_fronts", id="dump-fronts-text"),
+        pytest.param(
+            {"kernel": {"variance": True}}, "kernel.variance must be a number", id="kernel-bool"
+        ),
+        pytest.param(
+            {"kernel": {"variance": {"value": "2"}}},
+            "kernel.variance must be a number",
+            id="kernel-mapping-text",
+        ),
+        pytest.param({"mean": {"beta": "1.5"}}, "mean.beta must be a number", id="mean-string"),
         pytest.param({"gp": {"fit_noise": "no"}}, "gp.fit_noise", id="fit-noise-text"),
         pytest.param({"protocol": {"rounds": 1.5}}, "protocol.rounds", id="rounds-fraction"),
         pytest.param({"oracle": {"seed": "abc"}}, "oracle.seed", id="oracle-seed-text"),
@@ -304,11 +314,20 @@ def test_fitted_noise_init_outside_its_bounds_is_config_error(
     assert main(["validate", "--config", str(frozen)]) == EXIT_OK
 
 
+@pytest.mark.parametrize(
+    "row",
+    [
+        pytest.param(f"{PARENTAL[:-1]}A,high", id="non-numeric"),
+        pytest.param(f"{PARENTAL[:-1]}X,0.5", id="non-canonical"),
+        pytest.param(f"{PARENTAL},0.25", id="listed-twice"),
+        pytest.param(f"{PARENTAL[:-1]}A,0.5,99", id="two-values"),
+    ],
+)
 @pytest.mark.parametrize("command", ["run", "validate"])
 @pytest.mark.parametrize("table_use", ["oracle", "constraint"])
-def test_non_numeric_table_value_is_fixture_error(tmp_path, capsys, command, table_use):
+def test_non_numeric_table_value_is_fixture_error(tmp_path, capsys, command, table_use, row):
     table = tmp_path / "table.csv"
-    table.write_text(f"sequence,value\n{PARENTAL},0.5\n{PARENTAL[:-1]}A,high\n")
+    table.write_text(f"sequence,value\n{PARENTAL},0.5\n{row}\n")
     if table_use == "oracle":
         overrides = {"oracle": {"kind": "fixture", "table": str(table)}}
     else:
@@ -334,19 +353,26 @@ def test_non_finite_oracle_label_fails_before_round_one(tmp_path, capsys, comman
     code, message = run_or_validate(command, config, tmp_path / "x", capsys)
     assert code == (EXIT_FIXTURE if command == "run" else EXIT_VIOLATIONS)
     assert bad_seq in message
-    assert "oracle fixture label" in message
+    assert f"value {bad} is not finite" in message
     assert not (tmp_path / "x" / "rounds.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "validate"])
-@pytest.mark.parametrize("bad", ["abc", "nan", "inf"])
+@pytest.mark.parametrize("bad", ["abc", "nan", "inf", "non-canonical", "listed-twice", "short"])
 @pytest.mark.parametrize("kind", ["embedding", "coords"])
 def test_malformed_feature_fixture_is_fixture_error(tmp_path, capsys, command, bad, kind):
     values = [f"{0.1 * k:.1f}" for k in range(3 * len(PARENTAL))]
+    # a bad last value, or a whole bad row
+    rows = {
+        "non-canonical": f"{PARENTAL[:-1]}X,{','.join(values)}",
+        "listed-twice": f"{PARENTAL},{','.join(values)}",
+        "short": f"{PARENTAL[:-1]}A,{','.join(values[:-1])}",
+    }
     fixture = tmp_path / "features.csv"
     fixture.write_text(
         f"sequence,values\n{PARENTAL},{','.join(values)}\n"
-        f"{PARENTAL[:-1]}A,{','.join(values[:-1] + [bad])}\n"
+        + rows.get(bad, f"{PARENTAL[:-1]}A,{','.join(values[:-1] + [bad])}")
+        + "\n"
     )
     method = "ESM-M" if kind == "embedding" else "IgFold-M"
     providers = {f"{kind}_path": str(fixture)}
@@ -368,6 +394,44 @@ def test_collinear_parental_coordinates_fail_before_round_one(tmp_path, capsys, 
     assert code == (EXIT_FIXTURE if command == "run" else EXIT_VIOLATIONS)
     assert "coords.csv" in message
     assert "collinear" in message
+    assert not (tmp_path / "x" / "rounds.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize(
+    "method, key",
+    [
+        ("C-OneHot-T", "constraint_pssm_path"),
+        ("Kermut-T", "zero_shot_pssm_path"),
+        ("Kermut-T", "site_probs_path"),
+        ("Kermut-T", "distances_path"),
+    ],
+)
+def test_non_finite_probability_or_distance_is_fixture_error(
+    tmp_path, capsys, command, method, key
+):
+    context = synthetic_structure_context(PARENTAL)
+    probs = context.site_probs.copy()
+    probs[0, ALPHABET.index(PARENTAL[0])] = np.nan  # the parental residue's site
+    distances = context.distances.copy()
+    distances[0, 1] = distances[1, 0] = np.nan
+    bad, good = tmp_path / "bad.tsv", tmp_path / "good.tsv"
+    if key == "distances_path":
+        np.savetxt(bad, distances, delimiter="\t")
+        np.savetxt(good, context.site_probs, delimiter="\t")
+    else:
+        np.savetxt(bad, probs, delimiter="\t")
+        np.savetxt(good, context.distances, delimiter="\t")
+    providers = {key: str(bad)}
+    # the other half of a structure context's pair
+    pair = {"site_probs_path": "distances_path", "distances_path": "site_probs_path"}
+    if key in pair:
+        providers[pair[key]] = str(good)
+    config = write_config(tmp_path / "config.yaml", method=method, providers=providers)
+    code, message = run_or_validate(command, config, tmp_path / "x", capsys)
+    assert code == (EXIT_FIXTURE if command == "run" else EXIT_VIOLATIONS)
+    assert "bad.tsv" in message
+    assert "not finite" in message
     assert not (tmp_path / "x" / "rounds.csv").exists()
 
 

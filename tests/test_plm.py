@@ -115,6 +115,13 @@ def test_load_pssm_errors(tmp_path):
     bad.write_text("0.5 0.5\n")
     with pytest.raises(FixtureError):
         load_pssm(bad)
+    for value in ("nan", "inf"):
+        # a NaN row sum is not more than 1e-9 away from 1, so it needs its own check
+        row = ["0.05"] * 20
+        row[3] = value
+        bad.write_text(" ".join(row) + "\n")
+        with pytest.raises(FixtureError, match="bad.tsv.*not finite"):
+            load_pssm(bad)
 
 
 def test_load_likelihood_table(tmp_path):
@@ -124,3 +131,19 @@ def test_load_likelihood_table(tmp_path):
     assert table == {"ACD": 0.5, "ACY": 0.125}
     with pytest.raises(FixtureError):
         load_likelihood_table(tmp_path / "missing.csv")
+    # blank lines, comments and a `seq` header are skipped
+    path.write_text("# exported\nseq,likelihood\n\nACD,0.5\n  \nACY , 0.125\n")
+    assert load_likelihood_table(path) == {"ACD": 0.5, "ACY": 0.125}
+    for body, problem in [
+        ("ACX,0.5\n", r"row 2, sequence 'ACX': non-canonical residue 'X'"),
+        ("ACD,0.5\nACD,0.25\n", r"row 3, sequence 'ACD': the sequence is listed twice"),
+        ("ACD,0.5\nACY,0.5,99\n", r"row 3, sequence 'ACY': 2 values, where a row needs 1"),
+        ("ACD,0.5,99\nACY,0.5,99\n", r"each row has 2 values, not one"),
+        ("ACD\n", r"row 2, sequence 'ACD': 0 values, where a row needs some"),
+        (",0.5\n", r"row 2, sequence '': the sequence is empty"),
+        ("ACD,nan\n", r"row 2, sequence 'ACD': value nan is not finite"),
+        ("# nothing\n", r"has no entries"),
+    ]:
+        path.write_text("sequence,likelihood\n" + body)
+        with pytest.raises(FixtureError, match=rf"lik\.csv.*{problem}"):
+            load_likelihood_table(path)
