@@ -9,9 +9,7 @@ allocation.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -24,7 +22,6 @@ __all__ = [
     "build_portfolio",
     "solve_sharpe",
     "select_batch",
-    "write_acquisition_csv",
 ]
 
 # the Sharpe solver's safeguard on active-set changes, and its KKT tolerance
@@ -271,34 +268,3 @@ def select_batch(
     if return_details:
         return indices, r, z
     return indices
-
-
-def write_acquisition_csv(
-    path: str | Path,
-    sequences,
-    means,
-    stds,
-    r,
-    z,
-    likelihoods,
-    selected,
-) -> None:
-    """Dump one round's candidate-level selection diagnostics."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    selected_set = set(selected)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sequence", "mean", "std", "r", "z", "likelihood", "selected"])
-        for i, seq in enumerate(sequences):
-            writer.writerow(
-                [
-                    seq,
-                    f"{means[i]:.10g}",
-                    f"{stds[i]:.10g}",
-                    "" if r is None else f"{r[i]:.10g}",
-                    "" if z is None else f"{z[i]:.10g}",
-                    "" if likelihoods is None else f"{likelihoods[i]:.10g}",
-                    int(i in selected_set),
-                ]
-            )

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import functools
+import json
 import numbers
 import os
 from contextlib import contextmanager
@@ -23,7 +24,7 @@ import numpy as np
 import yaml
 
 from ._blas import one_thread
-from .acquisition import PortfolioProblem, select_batch, write_acquisition_csv
+from .acquisition import PortfolioProblem, select_batch
 from .exceptions import ConfigError, FixtureError
 from .features import (
     FixtureFeatureProvider,
@@ -78,9 +79,7 @@ __all__ = [
     "run_campaign",
     "validate_campaign",
     "write_rounds_csv",
-    "write_aggregate_csv",
-    "write_hyperparameter_files",
-    "write_acquisition_files",
+    "write_round_log",
 ]
 
 CONSTRAINED_PREFIX = "C-"
@@ -557,6 +556,14 @@ def _provider_keys(spec: MethodSpec) -> set[str]:
     return keys
 
 
+def _check_sites(sites: int, path: str, parental: str) -> None:
+    """A per-site fixture table must have one row per parental residue."""
+    if sites != len(parental):
+        raise FixtureError(
+            f"fixture {path} has {sites} sites, but the parental sequence has {len(parental)}"
+        )
+
+
 def _build_providers(config: CampaignConfig, spec: MethodSpec) -> _Providers:
     """Each provider replays its fixture paths when they are set, else is synthetic."""
     prov = config.providers
@@ -592,11 +599,14 @@ def _build_providers(config: CampaignConfig, spec: MethodSpec) -> _Providers:
             context = synthetic_structure_context(parental, config.seed, temperature)
         else:
             context = load_structure_context(*paths)
+            _check_sites(context.length, " and ".join(map(str, paths)), parental)
 
     if prov.constraint_table_path is not None:
         constraint = TableLikelihoodProvider(load_likelihood_table(prov.constraint_table_path))
     elif prov.constraint_pssm_path is not None:
-        constraint = PssmLikelihoodProvider(load_pssm(prov.constraint_pssm_path))
+        pssm = load_pssm(prov.constraint_pssm_path)
+        _check_sites(len(pssm), prov.constraint_pssm_path, parental)
+        constraint = PssmLikelihoodProvider(pssm)
     else:
         constraint = PssmLikelihoodProvider(substitution_softmax_pssm(parental))
 
@@ -609,6 +619,7 @@ def _build_providers(config: CampaignConfig, spec: MethodSpec) -> _Providers:
             probs = substitution_softmax_pssm(parental, temperature)
         else:
             probs = load_pssm(path)
+            _check_sites(len(probs), path, parental)
         zero_shot = np.log(np.maximum(probs, PROB_FLOOR))
 
     return _Providers(features, context, constraint, zero_shot)
@@ -906,28 +917,6 @@ class CampaignResult:
     seed: int
     protocol: ProtocolConfig
     logs: list[CampaignLog]
-
-    def aggregate(self) -> list[dict]:
-        """Per-round mean and standard error of best-so-far across repeats."""
-        rows = []
-        for k in range(len(self.logs[0].records)):
-            mean, se = _mean_and_se([log.records[k].best_so_far for log in self.logs])
-            rows.append(
-                {
-                    "round": k,
-                    "best_so_far_mean": mean,
-                    "best_so_far_se": se,
-                    "repeats": len(self.logs),
-                }
-            )
-        return rows
-
-
-def _mean_and_se(values: list[float]) -> tuple[float, float]:
-    """Mean and standard error (sample std over sqrt n; 0 for one value) of a sample."""
-    values = np.array(values)
-    se = float(values.std(ddof=1) / np.sqrt(values.size)) if values.size > 1 else 0.0
-    return float(values.mean()), se
 
 
 # ---------------------------------------------------------------------------
@@ -1260,60 +1249,13 @@ def write_rounds_csv(path: str | Path, result: CampaignResult) -> None:
                 )
 
 
-def write_aggregate_csv(path: str | Path, result: CampaignResult) -> None:
+def write_round_log(path: str | Path, result: CampaignResult) -> None:
+    """Every round record as one JSON line, one per (repeat, round) in log order:
+    the repeat's `method`, `seed` and `repeat`, then each `RoundRecord` field."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    rows = result.aggregate()
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["round", "best_so_far_mean", "best_so_far_se", "repeats"])
-        for row in rows:
-            writer.writerow(
-                [
-                    row["round"],
-                    _fmt(row["best_so_far_mean"]),
-                    _fmt(row["best_so_far_se"]),
-                    row["repeats"],
-                ]
-            )
-
-
-def write_hyperparameter_files(out_dir: str | Path, result: CampaignResult) -> None:
-    """One name = value text file per repeat and round, skipped for Random."""
-    out_dir = Path(out_dir)
-    for log in result.logs:
-        rep_dir = out_dir / f"rep{log.repeat}"
-        rep_dir.mkdir(parents=True, exist_ok=True)
-        for rec in log.records:
-            if rec.hyperparameters is None:
-                continue
-            lines = [f"round = {rec.round_index}"]
-            if rec.log_marginal_likelihood is not None:
-                lines.append(f"log_marginal_likelihood = {rec.log_marginal_likelihood:.10g}")
-            lines += [
-                f"{name} = {value:.10g}"
-                for name, value in sorted(rec.hyperparameters.items())
-            ]
-            (rep_dir / f"hyperparams_round{rec.round_index}.txt").write_text(
-                "\n".join(lines) + "\n"
-            )
-
-
-def write_acquisition_files(out_dir: str | Path, result: CampaignResult) -> None:
-    """Per-round candidate-level CSVs of the selected batches."""
-    out_dir = Path(out_dir)
-    for log in result.logs:
-        rep_dir = out_dir / f"rep{log.repeat}"
-        for rec in log.records:
-            if not rec.acquired:
-                continue
-            write_acquisition_csv(
-                rep_dir / f"acquisitions_round{rec.round_index}.csv",
-                [a.sequence for a in rec.acquired],
-                [a.mean if a.mean is not None else float("nan") for a in rec.acquired],
-                [a.std if a.std is not None else float("nan") for a in rec.acquired],
-                None if rec.acquired[0].r is None else [a.r for a in rec.acquired],
-                None if rec.acquired[0].z is None else [a.z for a in rec.acquired],
-                [a.likelihood for a in rec.acquired],
-                selected=range(len(rec.acquired)),
-            )
+    with path.open("w") as fh:
+        for log in result.logs:
+            for rec in log.records:
+                line = {"method": log.method, "seed": log.seed, "repeat": log.repeat}
+                fh.write(json.dumps({**line, **dataclasses.asdict(rec)}) + "\n")

@@ -18,15 +18,14 @@ import sys
 from collections import defaultdict
 from pathlib import Path
 
+import numpy as np
+
 from .campaign import (
     CampaignConfig,
-    _mean_and_se,
     registered_method_names,
     run_campaign,
     validate_campaign,
-    write_acquisition_files,
-    write_aggregate_csv,
-    write_hyperparameter_files,
+    write_round_log,
     write_rounds_csv,
 )
 from .exceptions import ConfigError, FixtureError, NumericalError
@@ -97,9 +96,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         front_dump_dir=out_dir / "fronts" if config.dump_fronts else None,
     )
     write_rounds_csv(out_dir / "rounds.csv", result)
-    write_aggregate_csv(out_dir / "aggregate.csv", result)
-    write_hyperparameter_files(out_dir, result)
-    write_acquisition_files(out_dir, result)
+    write_round_log(out_dir / "rounds.jsonl", result)
     final = result.logs[0].records[-1]
     print(
         f"{config.method}: {config.protocol.repeats} repeat(s), "
@@ -131,6 +128,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     print(f"config ok: method {config.method}, "
           f"{config.protocol.rounds} rounds x {config.protocol.repeats} repeats")
     return EXIT_OK
+
+
+def _mean_and_se(values: list[float]) -> tuple[float, float]:
+    """Mean and standard error (sample std over sqrt n; 0 for one value) of a sample."""
+    values = np.array(values)
+    se = float(values.std(ddof=1) / np.sqrt(values.size)) if values.size > 1 else 0.0
+    return float(values.mean()), se
 
 
 def _read_rounds_file(path: Path) -> list[dict]:

@@ -255,23 +255,3 @@ def test_selected_never_dominated_by_unselected(rng):
                 )
                 if dominated:
                     assert abs(z[i] - z[j]) <= 1e-9
-
-
-def test_acquisition_csv_written(tmp_path, rng):
-    from abbo.acquisition import write_acquisition_csv
-
-    path = tmp_path / "acq.csv"
-    write_acquisition_csv(
-        path,
-        ["AAA", "AAC"],
-        np.array([1.0, 2.0]),
-        np.array([0.5, 0.25]),
-        np.array([0.3, 0.7]),
-        np.array([0.4, 0.6]),
-        np.array([0.9, 0.8]),
-        selected=[1],
-    )
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "sequence,mean,std,r,z,likelihood,selected"
-    assert lines[1].startswith("AAA") and lines[1].endswith(",0")
-    assert lines[2].startswith("AAC") and lines[2].endswith(",1")

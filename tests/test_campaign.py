@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import gc
+import json
 import warnings
 
 import numpy as np
@@ -9,18 +10,20 @@ import yaml
 
 from abbo.campaign import (
     METHOD_REGISTRY,
+    AcquiredRecord,
     CampaignConfig,
     FixtureOracle,
     OracleConfig,
     ProtocolConfig,
     ProviderConfig,
+    RoundRecord,
     SyntheticOracle,
     generate_pool,
     registered_method_names,
     resolve_method,
     run_campaign,
     validate_campaign,
-    write_aggregate_csv,
+    write_round_log,
     write_rounds_csv,
 )
 from abbo.exceptions import ConfigError, FixtureError
@@ -420,14 +423,6 @@ class TestCampaignRuns:
             assert hyper["kernel.variance"] == 1.5
             assert hyper["mean.beta"] == 0.25
 
-    def test_aggregate_shape_and_se(self):
-        result = run_campaign(small_config())
-        rows = result.aggregate()
-        assert len(rows) == result.protocol.rounds + 1
-        values = np.array([log.records[1].best_so_far for log in result.logs])
-        expected_se = values.std(ddof=1) / np.sqrt(len(values))
-        assert rows[1]["best_so_far_se"] == pytest.approx(expected_se)
-
     def test_front_dumps_are_closed_and_complete(self, tmp_path):
         config = small_config(dump_fronts=True)
         with warnings.catch_warnings(record=True) as caught:
@@ -533,9 +528,23 @@ def test_rounds_csv_layout(tmp_path):
     assert header[:5] == ["method", "repeat", "round", "n_data", "best_so_far"]
 
 
-def test_aggregate_csv_layout(tmp_path):
-    result = run_campaign(small_config())
-    path = tmp_path / "aggregate.csv"
-    write_aggregate_csv(path, result)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == 1 + result.protocol.rounds + 1
+@pytest.mark.parametrize("method", ["OneHot-T", "Random"])
+def test_round_log_rebuilds_every_record(tmp_path, method):
+    result = run_campaign(small_config(method=method))
+    path = tmp_path / "rounds.jsonl"
+    write_round_log(path, result)
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    pairs = [(log, rec) for log in result.logs for rec in log.records]
+    assert len(lines) == len(pairs)
+    if method == "Random":
+        # no surrogate: nothing fitted, and no portfolio return or weight
+        assert all(line["hyperparameters"] is None for line in lines)
+        assert all(line["log_marginal_likelihood"] is None for line in lines)
+        assert all(a["r"] is None and a["z"] is None for line in lines for a in line["acquired"])
+    else:
+        assert all(line["hyperparameters"] for line in lines if line["round_index"] > 0)
+    for line, (log, rec) in zip(lines, pairs):
+        head = {key: line.pop(key) for key in list(line)[:3]}
+        assert head == {"method": log.method, "seed": log.seed, "repeat": log.repeat}
+        line["acquired"] = [AcquiredRecord(**a) for a in line["acquired"]]
+        assert RoundRecord(**line) == rec

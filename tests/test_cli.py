@@ -1,5 +1,7 @@
 import csv
 import dataclasses
+import json
+import re
 import typing
 from pathlib import Path
 
@@ -62,6 +64,10 @@ def read_csv(path: Path) -> list[dict]:
         return list(csv.DictReader(fh))
 
 
+def read_round_log(path: Path) -> list[dict]:
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
 # ---------------------------------------------------------------------------
 # run
 
@@ -76,11 +82,26 @@ def test_run_writes_all_outputs(tmp_path, capsys):
     # one row per repeat and round, counting the initial round 0
     assert len(rounds) == 2 * 3
     assert sorted({row["round"] for row in rounds}) == ["0", "1", "2"]
-    aggregate = read_csv(out / "aggregate.csv")
-    assert len(aggregate) == 3
+    # the same rows as JSON lines, each acquired batch in full
+    lines = read_round_log(out / "rounds.jsonl")
+    assert [(line["repeat"], line["round_index"]) for line in lines] == [
+        (int(row["repeat"]), int(row["round"])) for row in rounds
+    ]
+    assert [len(line["acquired"]) for line in lines] == [0, 6, 6] * 2
+    assert sorted(p.name for p in out.iterdir()) == ["rounds.csv", "rounds.jsonl"]
 
-    assert len(list(out.glob("rep*/acquisitions_round*.csv"))) == 2 * 2
-    assert len(list(out.glob("rep*/hyperparams_round*.txt"))) > 0
+
+@pytest.mark.parametrize("dump_fronts", [False, True])
+def test_readme_names_exactly_the_files_run_writes(tmp_path, dump_fronts):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listing = readme.split("`run` writes exactly these into `--out`:", 1)[1].split("\n\n")[1]
+    items = re.findall(r"^- `([^`]+)`(.*?)(?=^- |\Z)", listing, flags=re.M | re.S)
+    named = {name for name, text in items if dump_fronts or "dump_fronts" not in text}
+    config = write_config(tmp_path / "config.yaml", dump_fronts=dump_fronts)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out), "--rounds", "1"]) == EXIT_OK
+    written = {path.name + "/" * path.is_dir() for path in out.iterdir()}
+    assert written == named, f"README lists {sorted(named)}, run wrote {sorted(written)}"
 
 
 def test_run_round_and_seed_overrides(tmp_path):
@@ -107,8 +128,10 @@ def test_run_method_override_to_random(tmp_path):
     code = main(["run", "--config", str(config), "--out", str(out), "--method", "Random"])
     assert code == EXIT_OK
     assert read_csv(out / "rounds.csv")[0]["method"] == "Random"
-    # no surrogate, so no hyperparameter dumps
-    assert list(out.glob("rep*/hyperparams_round*.txt")) == []
+    # no surrogate, so nothing fitted
+    lines = read_round_log(out / "rounds.jsonl")
+    assert {line["method"] for line in lines} == {"Random"}
+    assert all(line["hyperparameters"] is None for line in lines)
 
 
 def test_run_rejects_bad_round_override(tmp_path, capsys):
@@ -432,6 +455,41 @@ def test_non_finite_probability_or_distance_is_fixture_error(
     assert code == (EXIT_FIXTURE if command == "run" else EXIT_VIOLATIONS)
     assert "bad.tsv" in message
     assert "not finite" in message
+    assert not (tmp_path / "x" / "rounds.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize(
+    "method, keys",
+    [
+        pytest.param("C-OneHot-T", ["constraint_pssm_path"], id="constraint-pssm"),
+        pytest.param("Kermut-T", ["zero_shot_pssm_path"], id="zero-shot"),
+        pytest.param("AbSeq-Kermut-T", ["antibody_zero_shot_pssm_path"], id="antibody-zero-shot"),
+        pytest.param("Kermut-T", ["site_probs_path", "distances_path"], id="context"),
+        pytest.param(
+            "AbMPNN-Kermut-T",
+            ["antibody_site_probs_path", "antibody_distances_path"],
+            id="antibody-context",
+        ),
+    ],
+)
+def test_per_site_table_of_the_wrong_length_is_fixture_error(
+    tmp_path, capsys, command, method, keys
+):
+    # a well-formed table for a parental one residue shorter than the configured one
+    short = synthetic_structure_context(PARENTAL[:-1])
+    providers = {}
+    for key in keys:
+        path = tmp_path / f"short_{key}.tsv"
+        table = short.distances if key.endswith("distances_path") else short.site_probs
+        np.savetxt(path, table, delimiter="\t")
+        providers[key] = str(path)
+    config = write_config(tmp_path / "config.yaml", method=method, providers=providers)
+    code, message = run_or_validate(command, config, tmp_path / "x", capsys)
+    assert code == (EXIT_FIXTURE if command == "run" else EXIT_VIOLATIONS)
+    assert f"short_{keys[0]}.tsv" in message
+    assert f"has {len(PARENTAL) - 1} sites" in message
+    assert f"the parental sequence has {len(PARENTAL)}" in message
     assert not (tmp_path / "x" / "rounds.csv").exists()
 
 
