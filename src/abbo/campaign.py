@@ -896,7 +896,7 @@ class RoundRecord:
     rmsd_max: float | None = None
     n_padded: int = 0
     hyperparameters: dict[str, float] | None = None
-    log_marginal_likelihood: float | None = None
+    log_marginal_likelihood: np.float64 | None = None
     acquired: list[AcquiredRecord] = field(default_factory=list)
 
 

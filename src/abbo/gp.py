@@ -23,9 +23,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrs
 from scipy.optimize import minimize
 
+from ._forked import run_tasks
 from .exceptions import NumericalError
 from .kernels import Kernel, KernelInputs, TanimotoKernel, _Namespace
 from .plm import PROB_FLOOR
@@ -269,6 +271,16 @@ class Dataset:
 _LOG2PI = np.log(2.0 * np.pi)
 
 
+def _chol_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A^-1 b from A's lower Cholesky factor: LAPACK potrs, the routine
+    `cho_solve` calls, without its scans of both operands for non-finite
+    values (a Cholesky factor is finite, and so is every right-hand side here)."""
+    x, info = dpotrs(chol, b, lower=1)
+    if info:
+        raise ValueError(f"dpotrs: argument {-info} has an illegal value")
+    return x
+
+
 def _core(kernel, mean, noise, prep, mean_prep, y, want_grads):
     """Log marginal likelihood (and raw-space gradients) at the current parameters.
 
@@ -283,14 +295,14 @@ def _core(kernel, mean, noise, prep, mean_prep, y, want_grads):
     a.flat[:: n + 1] += noise
     chol, jitter = cholesky_with_jitter(a)
     res = y - mean.values_prepared(mean_prep)
-    alpha = cho_solve((chol, True), res)
+    alpha = _chol_solve(chol, res)
     log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
     log_ml = -0.5 * float(res @ alpha) - 0.5 * log_det - 0.5 * n * _LOG2PI
     if not want_grads:
         return log_ml, {}, chol, alpha, jitter
 
     w = np.outer(alpha, alpha)
-    w -= cho_solve((chol, True), np.eye(n))
+    w -= _chol_solve(chol, np.eye(n))
     w *= 0.5
     grads = {f"kernel.{name}": g for name, g in contract(w).items()}
     for name, dm in mean.grads_prepared(mean_prep).items():
@@ -368,7 +380,7 @@ class GPModel:
     data: Dataset
     chol: np.ndarray
     alpha: np.ndarray
-    log_ml: float
+    log_ml: np.float64  # `_core` ends its sum with a numpy scalar
     jitter: float
     _prep: object
 
@@ -387,7 +399,7 @@ class GPModel:
         var = self.kernel.diag_prepared(prep_q) - np.einsum("ij,ij->j", v, v)
         return means, np.sqrt(np.maximum(var, 0.0))
 
-    def log_marginal_likelihood(self) -> float:
+    def log_marginal_likelihood(self) -> np.float64:
         return self.log_ml
 
     def hyperparameters(self) -> dict[str, float]:
@@ -437,6 +449,11 @@ def fit_gp(
     log-transformed parameters, uniform otherwise; prior-mean coefficients get
     a data-scaled window). The best final likelihood wins; the incoming kernel
     and mean objects are copied, never mutated.
+
+    A dense fit runs its restarts in this process and in forked copies of it,
+    one per spare CPU (`_forked.run_tasks`). Each restart's arithmetic is the
+    same in whichever process runs it, and the winner is chosen in restart
+    order, so the fitted model does not depend on the CPU count.
     """
     if len(data) < 2:
         raise ValueError(f"need at least 2 observations to fit, got {len(data)}")
@@ -506,34 +523,44 @@ def fit_gp(
         return u0
 
     lower, upper = np.array(internal_bounds).reshape(-1, 2).T
+    # L-BFGS-B clips its start into the bounds, so every start is clipped and
+    # scored there; all are drawn first, in restart order
+    starts = [np.clip(start_vector(i), lower, upper) for i in range(restarts if free else 1)]
+    # scoring the first start builds the batch's parameter-free blocks, which
+    # the restarts, in this process or a forked one, then only read
+    first = objective(starts[0])
+
+    def restart(i: int) -> list[tuple[float, np.ndarray]]:
+        """(-log ML, point) at restart i's start and at its L-BFGS-B result."""
+        u0 = starts[i]
+        start = first if i == 0 else objective(u0)
+        if not free:
+            return [(start[0], u0)]
+        unused = [start]  # handed to the minimizer's first call, which is at u0
+
+        def resumed(u):
+            return unused.pop() if unused and np.array_equal(u, u0) else objective(u)
+
+        result = minimize(
+            resumed,
+            u0,
+            jac=True,
+            method="L-BFGS-B",
+            bounds=internal_bounds,
+            options={"maxiter": _FIT_MAX_ITER},
+        )
+        return [(start[0], u0), (result.fun, result.x)]
+
+    if spectrum is None:
+        outcomes = run_tasks(restart, len(starts))
+    else:  # O(n) per evaluation: a fork would cost more than the restarts
+        outcomes = [restart(i) for i in range(len(starts))]
     best_fun = np.inf
     best_u: np.ndarray | None = None
-    for i in range(restarts):
-        # L-BFGS-B clips its start into the bounds, so score the clipped
-        # start, and hand its evaluation to the minimizer's first call there
-        u0 = np.clip(start_vector(i), lower, upper)
-        start = objective(u0)
-        candidates = [(start[0], u0)]
-        if free:
-            unused = [start]
-
-            def resumed(u, u0=u0, unused=unused):
-                return unused.pop() if unused and np.array_equal(u, u0) else objective(u)
-
-            result = minimize(
-                resumed,
-                u0,
-                jac=True,
-                method="L-BFGS-B",
-                bounds=internal_bounds,
-                options={"maxiter": _FIT_MAX_ITER},
-            )
-            candidates.append((result.fun, result.x))
+    for candidates in outcomes:
         for fun, u in candidates:
             if np.isfinite(fun) and fun < best_fun:
                 best_fun, best_u = float(fun), np.asarray(u, dtype=float)
-        if not free:
-            break
 
     if best_u is None or not np.isfinite(best_fun) or best_fun >= 1e25:
         raise NumericalError("every fit restart failed; covariance never factorized")

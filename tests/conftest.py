@@ -7,6 +7,11 @@ itself.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -164,6 +169,42 @@ def sharpe_ratio(z: np.ndarray, r: np.ndarray, q: np.ndarray, eps: float = 0.0) 
     if quad <= 0:
         return np.inf if float(r @ z) > 0 else 0.0
     return float(r @ z) / np.sqrt(quad)
+
+
+def run_on_one_and_two_cpus(code: str) -> list[tuple[list[str], int]]:
+    """The lines `code` prints and the forks it makes, run by a fresh
+    interpreter pinned to one CPU and then by one pinned to two, each pinned
+    before it imports anything, with `src/` and `tests/` first on its path.
+
+    Skips the calling test where this process may run on fewer than two CPUs.
+    """
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    if len(cpus) < 2 or not hasattr(os, "fork"):
+        pytest.skip("needs fork and two CPUs in this process's affinity, to compare a fit's "
+                    "forked restarts with serial ones")
+    tests = Path(__file__).resolve().parent
+    runs = []
+    for pinned in (cpus[:1], cpus[:2]):
+        prelude = (
+            "import os, sys\n"
+            f"os.sched_setaffinity(0, {pinned!r})\n"
+            f"sys.path[:0] = [{str(tests.parent / 'src')!r}, {str(tests)!r}]\n"
+            "forks, fork = [0], os.fork\n"
+            "def counted():\n"
+            "    forks[0] += 1\n"
+            "    return fork()\n"
+            "os.fork = counted\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", prelude + code + "print(forks[0])\n"],
+            capture_output=True,
+            text=True,
+            timeout=600,
+        )
+        assert done.returncode == 0, done.stderr
+        *lines, forks = done.stdout.splitlines()
+        runs.append((lines, int(forks)))
+    return runs
 
 
 @pytest.fixture

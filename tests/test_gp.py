@@ -1,10 +1,18 @@
+import hashlib
+import os
+import pickle
+import signal
+import time
+import types
 import warnings
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+import abbo._forked as forked_module
 import abbo.gp as gp_module
+from abbo import _blas
 from abbo.exceptions import NumericalError
 from abbo.features import synthetic_structure_context
 from abbo.gp import (
@@ -34,6 +42,7 @@ from conftest import (
     naive_log_marginal_likelihood,
     naive_posterior,
     random_mutants,
+    run_on_one_and_two_cpus,
     sequence_inputs,
 )
 
@@ -342,6 +351,20 @@ _SURROGATE_GROUPS = {
 }
 
 
+@pytest.fixture
+def one_cpu():
+    """This process narrowed to one CPU for the test, so that a fit forks no worker."""
+    if not hasattr(os, "sched_setaffinity"):  # no affinity, no forked restarts
+        yield
+        return
+    before = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(before)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, before)
+
+
 class TestFitting:
     def test_fit_improves_objective(self, rng):
         data = _make_dataset(rng, 12)
@@ -394,9 +417,10 @@ class TestFitting:
         # at the upper bound, up to the rounding of exp(log(10))
         assert model.noise == pytest.approx(NOISE_BOUNDS[1], rel=1e-12)
 
-    def test_each_start_is_evaluated_once(self, rng, monkeypatch):
+    def test_each_start_is_evaluated_once(self, rng, monkeypatch, one_cpu):
         # the minimizer's first call is at the start and reuses its score, so
-        # the objective runs once per minimizer evaluation plus the final factor
+        # the objective runs once per minimizer evaluation plus the final factor;
+        # on one CPU every restart runs in this process, where the calls are counted
         evaluations = _counting(monkeypatch, "_core")
         counts = []
 
@@ -473,6 +497,125 @@ class TestFitting:
         x = rng.standard_normal((5, 4))
         model.predict(KernelInputs({**query.vectors, "x": x}, query.residues, PARENTAL))
         assert builds == []
+
+
+def _fit_lines():
+    """The `repr` of the hyperparameters and log ML, and a hash of the Cholesky
+    factor's bytes, of a Kermut, a Matern and a sum-kernel fit, at one BLAS thread."""
+    cases = [
+        _SURROGATE_GROUPS["kermut-zeroshot"][0](),
+        (Matern52Kernel("onehot"), ConstantMean(0.0)),
+        _SURROGATE_GROUPS["sum-constant"][0](),
+    ]
+    data = _make_dataset(np.random.default_rng(11), 40)
+    lines = []
+    with _blas.one_thread():
+        for kernel, mean in cases:
+            model = fit_gp(data, kernel, mean, restarts=8, seed=5)
+            lines.append(
+                f"{model.hyperparameters()!r} {model.log_marginal_likelihood()!r} "
+                f"{hashlib.sha256(model.chol.tobytes()).hexdigest()}"
+            )
+    return lines
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="restarts are forked only where os.fork exists")
+class TestForkedRestarts:
+    """A dense fit's restarts run in this process and in forked workers, one
+    per CPU of the affinity beyond the first; here the affinity is faked."""
+
+    def test_results_do_not_depend_on_the_worker_count(self, monkeypatch, one_cpu):
+        # five workers on one core, all reading restarts from one pipe: a lost
+        # or repeated restart would move the winner or fail the index check
+        serial = _fit_lines()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(6)), raising=False)
+        assert _fit_lines() == serial
+        _assert_no_child_left()
+
+    def test_fits_on_one_and_two_cpus_are_identical(self):
+        (serial, serial_forks), (forked, forks) = run_on_one_and_two_cpus(
+            "from test_gp import _fit_lines\nprint(*_fit_lines(), sep='\\n')\n"
+        )
+        assert serial_forks == 0 < forks
+        assert len(forked) == 3 and forked == serial
+
+    def _fit_with_worker(self, rng, monkeypatch, tmp_path, in_worker, in_parent=None):
+        """A two-restart fit on two faked CPUs, in which the worker's restart
+        calls `in_worker` in place of the minimizer. The parent's restart
+        waits for the worker's to begin, so each process runs one restart."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        parent, begun = os.getpid(), tmp_path / "worker-began"
+
+        def split_minimize(*args, **kwargs):
+            if os.getpid() != parent:
+                begun.touch()
+                return in_worker(*args, **kwargs)
+            if in_parent is not None:
+                return in_parent(*args, **kwargs)
+            deadline = time.monotonic() + 60
+            while not begun.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(gp_module, "minimize", split_minimize)
+        return fit_gp(_make_dataset(rng, 8), Matern52Kernel("onehot"), ConstantMean(0.0), restarts=2)
+
+    def test_worker_exception_reaches_the_caller(self, rng, monkeypatch, tmp_path):
+        def raising(*args, **kwargs):
+            raise KeyError("restart failed in the worker")
+
+        with pytest.raises(KeyError, match="restart failed in the worker") as caught:
+            self._fit_with_worker(rng, monkeypatch, tmp_path, raising)
+        assert "raised in forked worker" in str(caught.value.__cause__)
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "death, message",
+        [
+            (lambda: os._exit(3), "exited with status 3"),
+            (lambda: os.kill(os.getpid(), signal.SIGKILL), f"killed by signal {int(signal.SIGKILL)}"),
+        ],
+        ids=["exit-3", "sigkill"],
+    )
+    def test_worker_death_is_an_error(self, rng, monkeypatch, tmp_path, death, message):
+        def dying(*args, **kwargs):
+            death()
+
+        with pytest.raises(RuntimeError, match=message):
+            self._fit_with_worker(rng, monkeypatch, tmp_path, dying)
+        _assert_no_child_left()
+
+    def test_short_payload_is_an_error(self, rng, monkeypatch, tmp_path):
+        parent = os.getpid()
+
+        def short_dumps(obj):
+            data = pickle.dumps(obj)
+            return data if os.getpid() == parent else data[: len(data) // 2]
+
+        monkeypatch.setattr(
+            forked_module, "pickle", types.SimpleNamespace(dumps=short_dumps, loads=pickle.loads)
+        )
+        with pytest.raises(RuntimeError, match="exited with status 0, but its .* do not unpickle"):
+            self._fit_with_worker(rng, monkeypatch, tmp_path, minimize)
+        _assert_no_child_left()
+
+    def test_parent_exception_reaps_a_running_worker(self, rng, monkeypatch, tmp_path):
+        def stalling(*args, **kwargs):
+            time.sleep(120)
+
+        def raising(*args, **kwargs):
+            raise KeyError("restart failed in the parent")
+
+        start = time.monotonic()
+        with pytest.raises(KeyError, match="restart failed in the parent"):
+            self._fit_with_worker(rng, monkeypatch, tmp_path, stalling, in_parent=raising)
+        assert time.monotonic() - start < 60
+        _assert_no_child_left()
 
 
 class TestCholeskyJitter:

@@ -41,6 +41,8 @@ from abbo.campaign import (
 from abbo.exceptions import FixtureError
 from abbo.gaopt import GAConfig
 
+from conftest import run_on_one_and_two_cpus
+
 PARENTAL = "EVQLVESGGGLVQPGGSLRLSCAASGFTFSSYAMSWVRQAPGK"
 
 # One campaign per method family: one-hot/BLOSUM Tanimoto, Matern on
@@ -224,6 +226,17 @@ def test_seeded_campaign_does_not_depend_on_blas_threads():
         assert done.returncode == 0, done.stderr
         prints.append(done.stdout.strip())
     assert prints[0] == prints[1]
+
+
+@pytest.mark.parametrize("method", ["C-Kermut-T", "IgFold-BLO-T"])
+def test_seeded_campaign_does_not_depend_on_the_cpu_count(method):
+    # on two CPUs each fit runs its restarts in this process and a forked one
+    (serial, serial_forks), (forked, forks) = run_on_one_and_two_cpus(
+        "from test_reproducibility import fingerprint, small_config\n"
+        f"print(fingerprint(small_config({method!r})))\n"
+    )
+    assert serial_forks == 0 < forks
+    assert forked == serial
 
 
 @pytest.fixture
