@@ -529,6 +529,21 @@ class TestForkedRestarts:
     """A dense fit's restarts run in this process and in forked workers, one
     per CPU of the affinity beyond the first; here the affinity is faked."""
 
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        """A fit that hangs fails the test after 120 s (a forked child inherits no alarm)."""
+
+        def expire(signum, frame):
+            raise TimeoutError("the fit did not finish within 120 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(120)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
     def test_results_do_not_depend_on_the_worker_count(self, monkeypatch, one_cpu):
         # five workers on one core, all reading restarts from one pipe: a lost
         # or repeated restart would move the winner or fail the index check
