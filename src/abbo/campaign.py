@@ -702,7 +702,8 @@ class _Representer:
     reads, a whole batch at a time.
 
     A batch is checked once, as the (m, L) residue-index array it carries;
-    one-hot and BLOSUM rows are gathered from it, and a method that reads
+    one-hot and BLOSUM rows are gathered from it as int8, which a Tanimoto
+    kernel multiplies in exact single precision, and a method that reads
     embeddings or coordinates gets them from one `features_many` call.
     """
 
@@ -716,7 +717,10 @@ class _Representer:
         self.fields = fields
         self.features = features
         encodings = {"onehot": one_hot_matrix, "blosum": blosum62_matrix}
-        self._tables = {name: encodings[name]().table() for name in encodings if name in fields}
+        # one-hot entries are 0/1 and BLOSUM-62's lie in [-4, 11]
+        self._tables = {
+            name: encodings[name]().table().astype(np.int8) for name in encodings if name in fields
+        }
 
     def represent(self, seqs: list[str], *, rmsd: bool = False) -> _Representation:
         """Kernel inputs of `seqs`; with `rmsd`, also the RMSD of each build
@@ -949,7 +953,12 @@ def _batch_objectives(asm: _Assembly, model: GPModel) -> Callable[[list[str]], n
 
     The columns are the posterior mean and standard deviation, plus the
     pseudo-likelihood for a constrained method; a batch costs one
-    representation, one posterior predict and one likelihood pass.
+    representation, one posterior predict and one likelihood pass. A row's
+    last bits depend on its batch-mates: the predict's products and solve
+    are blocked over the whole batch, so scoring a batch in two parts moves
+    rows by up to ~1e-13 on one-hot and Kermut runs and ~1e-9 with a Matern
+    term (README, "Threads and reproducibility"). The seed fixes the batches,
+    so campaigns reproduce; splitting GA scoring across processes would not.
     """
 
     def evaluate_many(seqs: list[str]) -> np.ndarray:

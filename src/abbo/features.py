@@ -380,9 +380,12 @@ class SyntheticFeatureProvider:
     def embedding(self, seq: str) -> np.ndarray:
         """The embedding of `features(seq)` alone: no coordinates, no alignment.
 
-        Not counted in `computations`; it costs one table lookup per site.
+        Not counted in `computations`; it costs one gather of the L site
+        vectors. Their sum over axis 0 adds them in site order, as `_embed`
+        does, so the result is `_embed`'s row bit for bit.
         """
-        return self._embed(self._indices([seq]))[0]
+        idx = self._indices([seq])[0]
+        return _gather(self._embedding_table(), idx).sum(axis=0) / idx.size
 
     def _embed(self, idx: np.ndarray) -> np.ndarray:
         """(m, dim) embeddings of (m, L) residue indices: the mean of the site

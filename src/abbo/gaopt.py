@@ -13,7 +13,8 @@ rewrites one entry, and duplicates are found by row bytes. Sequences appear
 only at the edges: the seeds and exclusions going in, the evaluator and its
 cache, the front writer and the result. Ranking is array code too: (N, N)
 domination per objective, and crowding for every front in one sorted pass
-per objective.
+per objective. Only each generation's union is sorted into fronts: the
+survivors keep their union ranks.
 """
 
 from __future__ import annotations
@@ -152,19 +153,23 @@ class EvolveResult:
     evaluations: int = 0
 
 
-def _rank_population(objs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _rank_population(
+    objs: np.ndarray, ranks: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Front rank and crowding distance of every row, equal to
     `non_dominated_sort` then `crowding_distance` front by front.
 
-    Sorting one objective by (rank, value) lays the fronts out one after
-    another, each in `crowding_distance`'s stable order, so every front's
-    neighbor gaps come from one pass. A row that is the lowest or highest of
-    its front in any objective is infinitely far from the crowd.
+    `ranks`, when given, are the rows' front ranks, known without sorting
+    (`_survivors`). Sorting one objective by (rank, value) lays the fronts
+    out one after another, each in `crowding_distance`'s stable order, so
+    every front's neighbor gaps come from one pass. A row that is the lowest
+    or highest of its front in any objective is infinitely far from the crowd.
     """
     n = objs.shape[0]
-    ranks = np.empty(n, dtype=int)
-    for rank, front in enumerate(non_dominated_sort(objs)):
-        ranks[front] = rank
+    if ranks is None:
+        ranks = np.empty(n, dtype=int)
+        for rank, front in enumerate(non_dominated_sort(objs)):
+            ranks[front] = rank
     crowd = np.zeros(n)
     boundary = np.zeros(n, dtype=bool)
     pos = np.arange(n)
@@ -180,6 +185,21 @@ def _rank_population(objs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         crowd[order[inner]] += (values[inner + 1] - values[inner - 1]) / span[inner]
     crowd[boundary] = np.inf
     return ranks, crowd
+
+
+def _survivors(union_objs: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The `size` rows of a union that survive, best (front rank, crowding)
+    first, and their front ranks within the survivors alone.
+
+    The survivors are whole fronts 0..k-1 and part of front k. Every row
+    that dominates a survivor has a lower rank, so it survives too, and each
+    survivor's rank among the survivors is its rank in the union: the next
+    ranking takes these instead of sorting again. Crowding is not reused;
+    the partly kept front's distances change with its membership.
+    """
+    ranks, crowd = _rank_population(union_objs)
+    keep = np.lexsort((-crowd, ranks))[:size]
+    return keep, ranks[keep]
 
 
 def _sequences(rows: np.ndarray) -> list[str]:
@@ -316,9 +336,10 @@ def evolve(
 
     objs = scored(sequences)
     history = [objs.max(axis=0)]
+    ranks = None  # the initial population's are sorted; later ones come from `_survivors`
 
     for generation in range(config.generations):
-        ranks, crowd = _rank_population(objs)
+        ranks, crowd = _rank_population(objs, ranks)
         standing = list(zip(ranks.tolist(), (-crowd).tolist()))
 
         def tournament() -> int:
@@ -346,22 +367,21 @@ def evolve(
 
         union_sequences = sequences + _sequences(offspring)
         union_objs = np.concatenate([objs, scored(union_sequences[len(sequences) :])])
-        union_ranks, union_crowd = _rank_population(union_objs)
-        keep = np.lexsort((-union_crowd, union_ranks))[: config.population_size]
+        keep, ranks = _survivors(union_objs, config.population_size)
         population = np.concatenate([population, offspring])[keep]
         sequences = [union_sequences[i] for i in keep]
         objs = union_objs[keep]
         history.append(objs.max(axis=0))
 
         if front_writer is not None:
-            front_idx = keep[union_ranks[keep] == 0]
+            front_idx = keep[ranks == 0]
             front_writer(
                 generation,
                 [union_sequences[i] for i in front_idx],
                 union_objs[front_idx],
             )
 
-    ranks, crowd = _rank_population(objs)
+    ranks, crowd = _rank_population(objs, ranks)
 
     front: list[tuple[str, np.ndarray]] = []
     ranked: list[tuple[str, np.ndarray, int, float]] = []

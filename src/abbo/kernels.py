@@ -15,7 +15,10 @@ parameter's log marginal likelihood gradient (Rasmussen & Williams 2006,
 eq. 5.9). The structure-aware kernel keys each batch by its U distinct
 (site, substituted residue) mutations: its Gram is P T P^T for the (n, U)
 incidence P and the (U, U) entry kernel T, and its contraction moves W into
-key space as P^T W P. All computation is double precision.
+key space as P^T W P. All computation is double precision, with one exact
+exception: Tanimoto inner products of small-integer fields (one-hot, BLOSUM)
+are multiplied in single precision whenever that gives the double-precision
+result bit for bit (`_inner_products`).
 
 What a Gram needs that no parameter touches (Tanimoto's unit-variance
 similarity, Matern's distances, the squared exponential's squared distances,
@@ -56,12 +59,28 @@ __all__ = [
 
 _SQRT5 = np.sqrt(5.0)
 
+# exp(x) is exactly 0.0 at and below this argument (exp(-745.14) already is)
+_EXP_ZERO = -745.2
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    """np.exp(x), bit for bit, without evaluating the arguments whose
+    exponential underflows to 0.0: numpy's exp is many times slower there.
+    NaN stays NaN, since `~(x <= _EXP_ZERO)` is true for it."""
+    zero = x <= _EXP_ZERO
+    if not zero.any():  # the masked call costs more than a plain one
+        return np.exp(x)
+    return np.exp(x, out=np.zeros_like(x), where=~zero)
+
 
 @dataclass(frozen=True)
 class KernelInputs:
     """A batch of m points as seen by kernels and prior means.
 
-    `vectors` maps each field name to an (m, d) array. `residues` holds the
+    `vectors` maps each field name to an (m, d) array. A field of 8- or 16-bit
+    integers (the campaign's one-hot and BLOSUM rows are int8) is read by a
+    Tanimoto kernel in exact single precision; every other field, float32
+    included, is read as float64. `residues` holds the
     (m, L) alphabet indices of the sequences (`sequences.residue_indices`) and
     `parental` the sequence they mutate; both are None for a vector-only
     batch. Mutations are not stored: `entries` derives them from the residues.
@@ -119,11 +138,16 @@ class KernelInputs:
         return owners, positions, parental[positions], self.residues[owners, positions]
 
 
-def _stack(inputs: KernelInputs, field_name: str) -> np.ndarray:
-    """The (n, d) matrix of a batch's vector field that a vector kernel reads."""
+def _stack(inputs: KernelInputs, field_name: str, *, exact_single: bool = False) -> np.ndarray:
+    """The (n, d) matrix of a batch's vector field that a vector kernel reads:
+    float64, or with `exact_single` float32 for a field of 8- or 16-bit
+    integers, each of which float32 holds exactly."""
     if field_name not in inputs.vectors:
         raise ValueError(f"kernel input is missing vector field {field_name!r}")
-    return np.asarray(inputs.vectors[field_name], dtype=float)
+    values = np.asarray(inputs.vectors[field_name])
+    if exact_single and values.dtype.kind in "iu" and values.itemsize <= 2:
+        return values.astype(np.float32)
+    return np.asarray(values, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -287,19 +311,48 @@ class _VectorKernel(Kernel):
         return prep.block
 
 
+# float32 holds every integer of magnitude up to 2^24 exactly
+_SINGLE_EXACT = 2.0**24
+
+
+def _inner_products(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
+    """a bᵀ and the rows' squared norms |a_i|^2 and |b_j|^2, in float64.
+
+    float32 rows hold small integers (`_stack`). When every squared norm is
+    below 2^24, each partial sum of a product or a norm is an integer below
+    2^24 in magnitude (Cauchy-Schwarz), so the single-precision products are
+    exact and cast to the float64 ones bit for bit. Otherwise they are
+    computed in float64. Pass `b is a` for a Gram.
+    """
+    if a.dtype == b.dtype == np.float32:
+        sq_a = np.einsum("ij,ij->i", a, a)
+        sq_b = sq_a if b is a else np.einsum("ij,ij->i", b, b)
+        if max(sq_a.max(initial=0.0), sq_b.max(initial=0.0)) < _SINGLE_EXACT:
+            return (a @ b.T).astype(float), sq_a.astype(float), sq_b.astype(float)
+    a64 = a.astype(float, copy=False)
+    b64 = a64 if b is a else b.astype(float, copy=False)
+    sq_a = np.einsum("ij,ij->i", a64, a64)
+    sq_b = sq_a if b is a else np.einsum("ij,ij->i", b64, b64)
+    return a64 @ b64.T, sq_a, sq_b
+
+
 class TanimotoKernel(_VectorKernel):
     """Tanimoto similarity: variance * <u, v> / (|u|^2 + |v|^2 - <u, v>).
 
     Defined for any pair of real vectors that are not both zero; the
     denominator is then strictly positive. Values lie in [0, variance] for
     nonnegative inputs, and the Gram matrix is positive semi-definite for
-    arbitrary real inputs.
+    arbitrary real inputs. A field of small integers is multiplied in exact
+    single precision (`_inner_products`); every result equals the float64 one.
     """
 
     def __init__(self, field_name: str, variance: float = 1.0):
         super().__init__(field_name)
         self._values = {"variance": 1.0}
         self.set_param("variance", variance)
+
+    def prepare(self, inputs: KernelInputs) -> _VectorPrepared:
+        return _VectorPrepared(_stack(inputs, self.field_name, exact_single=True))
 
     def _similarity(self, inner: np.ndarray, sq_a: np.ndarray, sq_b: np.ndarray) -> np.ndarray:
         """inner / (|a|^2 + |b|^2 - inner), computed in place of `inner`."""
@@ -311,9 +364,7 @@ class TanimotoKernel(_VectorKernel):
         return inner
 
     def _structure(self, x: np.ndarray) -> np.ndarray:
-        inner = x @ x.T
-        sq = np.einsum("ij,ij->i", x, x)
-        return self._similarity(inner, sq, sq)
+        return self._similarity(*_inner_products(x, x))
 
     def similarity(self, prep: _VectorPrepared) -> np.ndarray:
         """The unit-variance Gram S of a prepared batch: K = variance * S.
@@ -327,15 +378,13 @@ class TanimotoKernel(_VectorKernel):
         return self._values["variance"] * sim, lambda w: {"variance": np.vdot(w, sim)}
 
     def cross_prepared(self, prep_a: _VectorPrepared, prep_b: _VectorPrepared) -> np.ndarray:
-        a, b = prep_a.x, prep_b.x
-        inner = a @ b.T
-        sq_a = np.einsum("ij,ij->i", a, a)
-        sq_b = np.einsum("ij,ij->i", b, b)
-        k = self._similarity(inner, sq_a, sq_b)
+        k = self._similarity(*_inner_products(prep_a.x, prep_b.x))
         k *= self._values["variance"]
         return k
 
     def diag_prepared(self, prep: _VectorPrepared) -> np.ndarray:
+        # a row of integers in float32 has a squared norm of 0 or at least 1,
+        # rounded or not, so the check needs no double precision
         sq = np.einsum("ij,ij->i", prep.x, prep.x)
         if np.any(sq <= 0):
             raise ValueError("Tanimoto undefined for zero vectors")
@@ -377,7 +426,7 @@ class Matern52Kernel(_StationaryKernel):
         var = self._values["variance"]
         ell = self._values["lengthscale"]
         s = r / ell
-        decay = np.exp(-_SQRT5 * s)
+        decay = _exp(-_SQRT5 * s)
         k = var * (1.0 + _SQRT5 * s + (5.0 / 3.0) * s**2) * decay
         dk_dell = var * (5.0 / 3.0) * s**2 * (1.0 + _SQRT5 * s) * decay / ell
         return k, dk_dell
@@ -642,7 +691,7 @@ class KermutKernel(Kernel):
 
     def _entry_kernel(self, hh, pp, dd) -> np.ndarray:
         v = self._values
-        return np.exp(-v["gamma_h"] * hh - v["gamma_p"] * pp - v["gamma_d"] * dd)
+        return _exp(-v["gamma_h"] * hh - v["gamma_p"] * pp - v["gamma_d"] * dd)
 
     def gram_grad_prepared(self, prep: _KermutPrepared):
         v = dict(self._values)  # the contraction's parameters are those of this Gram

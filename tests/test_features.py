@@ -207,6 +207,19 @@ class TestSyntheticFeatures:
         expected = table[np.arange(len(PARENTAL)), idx].mean(axis=0)
         assert np.allclose(emb, expected)
 
+    def test_one_sequence_embedding_equals_its_batch_row(self, rng):
+        # `embedding` gathers one row's site vectors and sums them at once;
+        # `features_many` sums site by site over the batch. The labels of the
+        # synthetic oracle come from the first, so the two must agree bit for bit.
+        provider = SyntheticFeatureProvider(PARENTAL, seed=0, embedding_dim=64)
+        seqs = [PARENTAL] + self.mutants(rng, 40)
+        seqs += ["".join(rng.choice(list(ALPHABET), len(PARENTAL))) for _ in range(40)]
+        batch = provider.features_many(seqs).embedding
+        for i, seq in enumerate(seqs):
+            one = provider.embedding(seq)
+            assert one.tobytes() == provider.features_many([seq]).embedding[0].tobytes()
+            assert one.tobytes() == batch[i].tobytes()
+
     def test_embeddings_do_not_depend_on_campaign_seed(self):
         a = SyntheticFeatureProvider(PARENTAL, seed=0).features(PARENTAL).embedding
         b = SyntheticFeatureProvider(PARENTAL, seed=99).features(PARENTAL).embedding

@@ -7,6 +7,7 @@ import pytest
 from abbo.gaopt import (
     GAConfig,
     _rank_population,
+    _survivors,
     crowding_distance,
     evolve,
     non_dominated_sort,
@@ -109,6 +110,26 @@ def test_one_pass_ranking_equals_per_front_reference(rng):
         _assert_ranking_matches_reference(objs)
 
 
+def test_survivors_keep_their_union_ranks(rng):
+    # the survivors' ranks are taken from the union instead of sorting them
+    # again; they must be the ranks a fresh sort of the survivors gives
+    for _ in range(200):
+        n = int(rng.integers(2, 257))
+        m = int(rng.integers(2, 4))
+        objs = rng.standard_normal((n, m))
+        if rng.random() < 0.5:
+            objs = np.round(objs, int(rng.integers(0, 2)))  # ties and duplicates
+        if rng.random() < 0.3:
+            objs[rng.integers(n, size=n // 3)] = objs[rng.integers(n)]  # repeated rows
+        size = int(rng.integers(1, n + 1))
+        keep, ranks = _survivors(objs, size)
+        fresh_ranks, fresh_crowd = _rank_population(objs[keep])
+        assert np.array_equal(ranks, fresh_ranks)
+        reused_ranks, reused_crowd = _rank_population(objs[keep], ranks)
+        assert np.array_equal(reused_ranks, fresh_ranks)
+        assert np.array_equal(reused_crowd, fresh_crowd)
+
+
 def test_one_pass_ranking_on_small_and_flat_fronts():
     # fronts of one, two and three points, then a front of three equal points
     objs = np.array(
@@ -182,6 +203,21 @@ def test_evolve_is_deterministic(rng):
     assert np.array_equal(a.history, b.history)
     c = evolve(PARENTAL, batched(_additive_objective(PARENTAL)), GAConfig(16, 8, seed=4))
     assert not np.array_equal(a.history, c.history)
+
+
+def test_evolve_sorts_only_the_initial_population_and_each_union(monkeypatch):
+    from abbo import gaopt
+
+    sorted_sizes = []
+    real = gaopt.non_dominated_sort
+
+    def counting(objs):
+        sorted_sizes.append(len(objs))
+        return real(objs)
+
+    monkeypatch.setattr(gaopt, "non_dominated_sort", counting)
+    evolve(PARENTAL, batched(_additive_objective(PARENTAL)), GAConfig(16, 5, seed=3))
+    assert sorted_sizes == [16] + [32] * 5
 
 
 def test_front_is_mutually_non_dominating(rng):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from abbo.features import synthetic_structure_context
+from abbo.campaign import _Representer
+from abbo.features import SyntheticFeatureProvider, synthetic_structure_context
 from abbo.kernels import (
     KermutKernel,
     KernelInputs,
@@ -10,6 +11,7 @@ from abbo.kernels import (
     SquaredExponentialKernel,
     SumKernel,
     TanimotoKernel,
+    _exp,
     hellinger,
     kermut_params_from_original,
     kermut_params_to_original,
@@ -18,7 +20,7 @@ from abbo.kernels import (
     squared_exponential,
     tanimoto,
 )
-from abbo.sequences import blosum62_matrix, diff, encode, one_hot_matrix
+from abbo.sequences import ALPHABET, blosum62_matrix, diff, encode, one_hot_matrix
 
 from conftest import (
     central_difference,
@@ -499,6 +501,94 @@ def test_tanimoto_zero_vector_fails_when_the_gram_block_is_built():
     assert prep.block is None
     with pytest.raises(ValueError, match="zero vectors"):
         kernel.similarity(prep)
+
+
+# ---------------------------------------------------------------------------
+# exact single precision and skipped exponentials
+
+
+def _tanimoto_blocks(kernel, train, query):
+    """Gram, unit-variance Gram, cross and diagonal of one kernel on two batches."""
+    prep, prep_q = kernel.prepare(train), kernel.prepare(query)
+    return (
+        kernel.gram_grad_prepared(prep)[0],
+        kernel.similarity(prep),
+        kernel.cross_prepared(prep, prep_q),
+        kernel.diag_prepared(prep_q),
+    )
+
+
+def _as_float64(inputs):
+    return KernelInputs(
+        {name: v.astype(float) for name, v in inputs.vectors.items()},
+        inputs.residues,
+        inputs.parental,
+    )
+
+
+@pytest.mark.parametrize("field", ["onehot", "blosum"])
+def test_tanimoto_on_integer_fields_equals_the_float64_path(rng, field):
+    parental = "EVQLVESGGGLVQPGGSLRLSCAASGFTFSSYAMSWVRQAPGK"
+    represent = _Representer(parental, {field}, SyntheticFeatureProvider(parental)).represent
+    kernel = TanimotoKernel(field, variance=1.7)
+    for _ in range(5):
+        n, m = (int(v) for v in rng.integers(1, 60, size=2))
+        seqs = random_mutants(rng, parental, n + m, max_sites=8)
+        seqs[: n // 2] = ["".join(rng.choice(list(ALPHABET), len(parental))) for _ in range(n // 2)]
+        train, query = represent(seqs[:n]).inputs, represent(seqs[n:]).inputs
+        assert train.vectors[field].dtype == np.int8
+        assert kernel.prepare(train).x.dtype == np.float32  # the single-precision path
+        encoding = one_hot_matrix() if field == "onehot" else blosum62_matrix()
+        assert np.array_equal(
+            _as_float64(train).vectors[field], np.stack([encode(s, encoding) for s in seqs[:n]])
+        )
+        want = _tanimoto_blocks(kernel, _as_float64(train), _as_float64(query))
+        for got, ref in zip(_tanimoto_blocks(kernel, train, query), want):
+            assert got.dtype == np.float64 and np.array_equal(got, ref)
+
+
+def test_tanimoto_over_the_norm_bound_takes_float64():
+    # 4097^2 = 16785409 is odd and above 2^24, so float32 rounds it; a row's
+    # squared norm at or over 2^24 must send its whole block to float64
+    small = np.array([[4097, 1], [3, 5], [1, 0]], dtype=np.int16)
+    big = KernelInputs({"x": small})
+    other = KernelInputs({"x": np.array([[4097, 3], [2, 2]], dtype=np.int16)})
+    single = small.astype(np.float32) @ small.astype(np.float32).T
+    assert not np.array_equal(single, small.astype(float) @ small.astype(float).T)
+    kernel = TanimotoKernel("x")
+    want = _tanimoto_blocks(kernel, _as_float64(big), _as_float64(other))
+    for got, ref in zip(_tanimoto_blocks(kernel, big, other), want):
+        assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float16, np.int32, np.int64])
+def test_other_fields_never_take_single_precision(rng, dtype):
+    # float fields may hold anything, and 32- and 64-bit integers need not fit
+    # float32: they are all read in float64
+    values = rng.standard_normal((7, 5)) * (1.0 if np.dtype(dtype).kind == "f" else 1e6)
+    values = np.abs(values).astype(dtype)
+    inputs = KernelInputs({"x": values})
+    for kernel in (TanimotoKernel("x"), Matern52Kernel("x")):
+        assert kernel.prepare(inputs).x.dtype == np.float64
+    assert Matern52Kernel("x").prepare(KernelInputs({"x": values.astype(np.int8)})).x.dtype == float
+    kernel = TanimotoKernel("x")
+    want = _tanimoto_blocks(kernel, _as_float64(inputs[:4]), _as_float64(inputs[4:]))
+    for got, ref in zip(_tanimoto_blocks(kernel, inputs[:4], inputs[4:]), want):
+        assert np.array_equal(got, ref)
+
+
+def test_skipped_exponentials_equal_numpy_exp():
+    grid = np.concatenate(
+        [
+            np.linspace(-800.0, 10.0, 20011),
+            [-745.13, -745.1332, -745.14, -745.2, -745.2000001, np.inf, -np.inf, np.nan, -0.0],
+        ]
+    )
+    for x in (grid, grid[::-1].reshape(-1, 2), grid[::3], np.linspace(-5.0, 0.0, 99)):
+        got = _exp(x)
+        assert got.dtype == np.float64 and got.shape == x.shape
+        assert np.array_equal(got, np.exp(x), equal_nan=True)
+        assert got.tobytes() == np.exp(x).tobytes()
 
 
 # ---------------------------------------------------------------------------
