@@ -292,6 +292,21 @@ def _config_key(name: str, where: str) -> str:
 _field_hints = functools.cache(get_type_hints)
 
 
+def _is_number(value, kind: type = numbers.Real) -> bool:
+    """Whether a config value is a number of `kind`: a bool is not one."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _check_start(where: str, value: float, bounds: tuple[float, float]) -> None:
+    """A fitted parameter must start inside its bounds: L-BFGS-B would clip it there."""
+    lo, hi = bounds
+    if not lo <= value <= hi:
+        raise ConfigError(
+            f"{where} {value} lies outside its fitted bounds [{lo}, {hi}]; "
+            "move it inside them or freeze it"
+        )
+
+
 def _check_types(cls: type, values: dict, where: str) -> None:
     """Raise a ConfigError naming the key of the first value in `values` that
     does not match its field's bool, int, float or str annotation of `cls`.
@@ -310,8 +325,7 @@ def _check_types(cls: type, values: dict, where: str) -> None:
         if kind in (bool, str):
             ok = isinstance(value, kind)
         else:
-            number = numbers.Integral if kind is int else numbers.Real
-            ok = isinstance(value, number) and not isinstance(value, bool)
+            ok = _is_number(value, numbers.Integral if kind is int else numbers.Real)
         if not ok:
             raise ConfigError(
                 f"{_config_key(name, where)} must be {_TYPE_NAMES[kind]}, got {value!r}"
@@ -448,12 +462,8 @@ class GPConfig:
             raise ConfigError("gp.restarts must be >= 1")
         if self.noise_init <= 0:
             raise ConfigError("gp.noise_init must be positive")
-        lo, hi = NOISE_BOUNDS
-        if self.fit_noise and not lo <= self.noise_init <= hi:
-            raise ConfigError(
-                f"gp.noise_init {self.noise_init} lies outside the fitted noise's "
-                f"bounds [{lo}, {hi}]"
-            )
+        if self.fit_noise:
+            _check_start("gp.noise_init", self.noise_init, NOISE_BOUNDS)
 
 
 @dataclass
@@ -654,7 +664,8 @@ def _apply_param_overrides(target, overrides: dict, section: str) -> None:
     Each entry is `name: value` or `name: {value: ..., frozen: true|false}`.
     An unknown name, a value that is not a number (a bool or a string is
     not) or that the parameter rejects, or a non-boolean `frozen` is a
-    ConfigError naming `section.name` and the available names.
+    ConfigError naming `section.name` and the available names. So is a value
+    outside the parameter's bounds, unless the parameter is frozen.
     """
     for name, setting in overrides.items():
         name, where = str(name), f"{section}.{name}"
@@ -663,8 +674,7 @@ def _apply_param_overrides(target, overrides: dict, section: str) -> None:
         _require_keys(setting, {"value", "frozen"}, where)
         value, frozen = setting.get("value"), setting.get("frozen", False)
         available = f"available: {sorted(target.params())}"
-        # the rule of `_check_types` for a float field
-        if "value" in setting and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+        if "value" in setting and not _is_number(value):
             raise ConfigError(f"{where} must be a number, got {value!r}; {available}")
         try:
             if not isinstance(frozen, bool):
@@ -676,6 +686,8 @@ def _apply_param_overrides(target, overrides: dict, section: str) -> None:
         except (KeyError, ValueError) as err:
             problem = "unknown hyperparameter" if isinstance(err, KeyError) else f"bad value: {err}"
             raise ConfigError(f"{where}: {problem}; {available}") from None
+        if "value" in setting and name not in target.frozen():
+            _check_start(where, float(value), target.bounds(name))
 
 
 def _build_mean(spec: MethodSpec, providers: _Providers, config: CampaignConfig):
@@ -838,14 +850,8 @@ def generate_pool(
         raise ConfigError(
             f"pool of {size} unique <= {max_sites}-site mutants impossible for length {length}"
         )
-    pool: list[str] = []
-    seen = {parental}
-    while len(pool) < size:
-        candidate = _random_mutant(parental, max_sites, rng)
-        if candidate not in seen:
-            seen.add(candidate)
-            pool.append(candidate)
-    return pool
+    # with one base, choosing the base draws nothing from `rng`
+    return _propose_random_mutants([parental], size, rng, {parental}, max_sites)
 
 
 def _propose_random_mutants(

@@ -11,9 +11,10 @@ What a provider keeps depends only on the parental sequence. The synthetic
 route tabulates the raw position and the embedding vector of every (site,
 residue) pair once, on first use, so a build is two gathers. The Kabsch
 reference, the parental structure, is centred and checked for collinearity
-once, so each build centres and checks only the variant. Providers build a
-batch of sequences at once (`features_many`): the variants of a batch are
-checked and aligned by stacked SVDs over (m, N, 3) and (m, 3, 3) arrays.
+once. A variant is checked where it enters: a coordinate fixture's rows at
+load, and a synthetic build cannot be collinear. Providers build a batch of
+sequences at once (`features_many`), aligned by one stacked SVD over their
+(m, 3, 3) covariances.
 """
 
 from __future__ import annotations
@@ -80,9 +81,8 @@ def kabsch_align(
     mobile = np.asarray(mobile, dtype=float)
     reference = np.asarray(reference, dtype=float)
     _check_same_shape(mobile, reference)
-    _check_points(mobile)
-    _, moving = _centred(mobile[None], "mobile")
-    aligned, rmsd = _Frame(reference, "reference").superpose(moving)
+    moving = _Frame(mobile, "mobile").centred
+    aligned, rmsd = _Frame(reference, "reference").superpose(moving[None])
     return aligned[0], float(rmsd[0])
 
 
@@ -100,42 +100,42 @@ def _check_points(points: np.ndarray) -> None:
         raise ValueError("alignment needs at least 3 points")
 
 
-def _centred(stack: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """(centroids (m, 1, 3), centred points (m, N, 3)) of a stack of point sets,
-    each checked for collinearity by one stacked singular-value call."""
-    centroid = stack.mean(axis=-2, keepdims=True)
-    centred = stack - centroid
+def _collinear(centred: np.ndarray) -> np.ndarray:
+    """Which of a stack of centred (m, N, 3) point sets, N >= 3, lie on one
+    line: one stacked singular-value call."""
     s = np.linalg.svd(centred, compute_uv=False)
-    if np.any(s[:, 1] <= 1e-10 * np.maximum(s[:, 0], 1e-30)):
-        raise ValueError(f"{name} points are collinear; rotation is ill-defined")
-    return centroid, centred
+    return s[:, 1] <= 1e-10 * np.maximum(s[:, 0], 1e-30)
 
 
 class _Frame:
-    """An (N, 3) reference point set, checked and centred once for Kabsch alignment.
+    """An (N, 3) point set, checked and centred once for Kabsch alignment.
 
-    `kabsch_align` builds one per call; a feature provider builds the parental
-    frame once and aligns every batch of variants onto it with `align_many`.
+    `kabsch_align` builds one for each of its two point sets; a feature
+    provider builds the parental frame once and aligns every batch of
+    variants onto it with `align_many`.
     """
 
     def __init__(self, points: np.ndarray, name: str):
         points = np.asarray(points, dtype=float)
         _check_points(points)
         self.points = points
-        self.centroid, self.centred = (a[0] for a in _centred(points[None], name))
+        self.centroid = points.mean(axis=0, keepdims=True)
+        self.centred = points - self.centroid
+        if _collinear(self.centred[None])[0]:
+            raise ValueError(f"{name} points are collinear; rotation is ill-defined")
 
     def align_many(self, mobile: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Align an (m, N, 3) stack onto this frame; return (aligned (m, N, 3), rmsd (m,)).
 
-        Row i is `kabsch_align(mobile[i], self.points)`, with this frame's
-        checks not repeated.
+        Row i is `kabsch_align(mobile[i], self.points)`, but a collinear row is
+        not caught here: a provider checks each row where it enters.
         """
         mobile = np.asarray(mobile, dtype=float)
         if mobile.shape[1:] != self.points.shape:
             raise ValueError(
                 f"shape mismatch: mobile {mobile.shape[1:]} vs reference {self.points.shape}"
             )
-        return self.superpose(_centred(mobile, "mobile")[1])
+        return self.superpose(mobile - mobile.mean(axis=-2, keepdims=True))
 
     def superpose(self, centred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Rotate centred (m, N, 3) point sets onto this frame and move them to
@@ -436,8 +436,9 @@ class FixtureFeatureProvider:
     Either fixture may be omitted; the matching bundle field is then None and
     methods that need it fail downstream with a clear message. When coordinates
     are given the parental sequence must have a row, since every variant is
-    aligned into the parental frame; that row is checked and centred here, so
-    a degenerate one is a fixture error before any build. `computations`
+    aligned into the parental frame; that row is checked and centred here, and
+    every row is checked for collinearity by one stacked SVD, so a degenerate
+    row is a fixture error naming its sequence before any build. `computations`
     counts the sequences built, as for the synthetic provider.
     """
 
@@ -469,6 +470,14 @@ class FixtureFeatureProvider:
                     f"coordinate fixture {coords_path}: parental row: {err}"
                 ) from None
             self.parental_coords = self._frame.points
+            rows = np.stack(list(self._coords.values()))  # each of the parental's length
+            bad = np.flatnonzero(_collinear(rows - rows.mean(axis=1, keepdims=True)))
+            if bad.size:
+                seq = list(self._coords)[bad[0]]
+                raise FixtureError(
+                    f"coordinate fixture {coords_path}, sequence {seq!r}: points are collinear; "
+                    "rotation is ill-defined"
+                )
         self.computations = 0
 
     def features(self, seq: str) -> FeatureBundle:

@@ -2,9 +2,9 @@
 
 Inference is plain Cholesky: no inducing points, no stochastic tricks. The fit
 runs multi-start L-BFGS-B over transformed hyperparameters (log for positive
-parameters, logit for mixture weights, identity for prior-mean coefficients)
-with exact gradients: the kernel contracts one weight matrix per evaluation
-(`Kernel.gram_grad_prepared`).
+parameters, logit for mixture weights, identity for prior-mean coefficients:
+one `kernels._Transform` each) with exact gradients: the kernel contracts one
+weight matrix per evaluation (`Kernel.gram_grad_prepared`).
 
 A Tanimoto kernel under a constant mean is fitted in the spectral domain
 instead (the FaST-LMM reparameterisation, Lippert et al., Nature Methods
@@ -29,7 +29,7 @@ from scipy.optimize import minimize
 
 from ._forked import run_tasks
 from .exceptions import NumericalError
-from .kernels import Kernel, KernelInputs, TanimotoKernel, _Namespace
+from .kernels import _LINEAR, Kernel, KernelInputs, TanimotoKernel, _Namespace
 from .plm import PROB_FLOOR
 from .sequences import AA_INDEX, ALPHABET, MutationSet
 
@@ -133,7 +133,7 @@ class _MeanBase(_Namespace):
     evaluations that the fit repeats.
     """
 
-    _DEFAULT_TRANSFORM = "linear"
+    _DEFAULT_TRANSFORM = _LINEAR
 
     def prepare(self, inputs):
         raise NotImplementedError
@@ -152,8 +152,7 @@ class ConstantMean(_MeanBase):
     """m(x) = beta."""
 
     def __init__(self, beta: float = 0.0):
-        super().__init__()
-        self._values = {"beta": float(beta)}
+        super().__init__(beta=beta)
 
     def prepare(self, inputs) -> int:
         return len(inputs)
@@ -175,13 +174,12 @@ class ZeroShotMean(_MeanBase):
     """
 
     def __init__(self, log_table: np.ndarray, alpha: float = 1.0, beta: float = 0.0):
-        super().__init__()
+        super().__init__(alpha=alpha, beta=beta)
         self.log_table = np.asarray(log_table, dtype=float)
         if self.log_table.ndim != 2 or self.log_table.shape[1] != len(ALPHABET):
             raise ValueError(
                 f"log-probability table must be (L, 20), got {self.log_table.shape}"
             )
-        self._values = {"alpha": float(alpha), "beta": float(beta)}
 
     def scores(self, inputs: KernelInputs) -> np.ndarray:
         """f0 of each point of a batch, summed over its mutation entries in
@@ -221,8 +219,7 @@ class _Noise(_Namespace):
     _BOUNDS = {"variance": NOISE_BOUNDS}
 
     def __init__(self, variance: float):
-        super().__init__()
-        self._values = {"variance": float(variance)}
+        super().__init__(variance=variance)
 
 
 def _hyperparameters(kernel: Kernel, mean: _MeanBase, noise: float) -> _Namespace:
@@ -406,32 +403,6 @@ class GPModel:
         return _hyperparameters(self.kernel, self.mean, self.noise).params()
 
 
-def _to_internal(value: float, kind: str) -> float:
-    if kind == "log":
-        return float(np.log(value))
-    if kind == "logit":
-        return float(np.log(value / (1.0 - value)))
-    return float(value)
-
-
-def _from_internal(u: float, kind: str) -> float:
-    if kind == "log":
-        return float(np.exp(u))
-    if kind == "logit":
-        return float(1.0 / (1.0 + np.exp(-u)))
-    return float(u)
-
-
-def _chain(u_value: float, kind: str) -> float:
-    """d(raw)/d(internal) evaluated at the internal coordinate."""
-    if kind == "log":
-        return float(np.exp(u_value))
-    if kind == "logit":
-        s = 1.0 / (1.0 + np.exp(-u_value))
-        return s * (1.0 - s)
-    return 1.0
-
-
 def fit_gp(
     data: Dataset,
     kernel: Kernel,
@@ -445,10 +416,11 @@ def fit_gp(
     """Fit hyperparameters by maximizing the log marginal likelihood.
 
     Runs `restarts` L-BFGS-B starts: the first from the supplied parameter
-    values, the rest sampled per parameter inside its bounds (log-uniform for
-    log-transformed parameters, uniform otherwise; prior-mean coefficients get
-    a data-scaled window). The best final likelihood wins; the incoming kernel
-    and mean objects are copied, never mutated.
+    values, the rest drawn uniformly per parameter in its transform's
+    coordinate (`kernels._Transform`): inside its bounds (so log-uniform for a
+    log-transformed parameter), or for a linear one in (-3, 3), and in the
+    targets' range for a prior mean's `beta`. The best final likelihood wins;
+    the incoming kernel and mean objects are copied, never mutated.
 
     A dense fit runs its restarts in this process and in forked copies of it,
     one per spare CPU (`_forked.run_tasks`). Each restart's arithmetic is the
@@ -474,12 +446,12 @@ def fit_gp(
         spectrum = _TanimotoSpectrum(kernel.similarity(prep), data.y)
 
     free = space.free_param_names()
-    kinds = {n: space.transform(n) for n in free}
-    internal_bounds = [tuple(_to_internal(b, kinds[n]) for b in space.bounds(n)) for n in free]
+    kinds = [space.kind(n) for n in free]
+    internal_bounds = [tuple(map(k.to_u, space.bounds(n))) for n, k in zip(free, kinds)]
 
     def apply_vector(u: np.ndarray) -> None:
-        for name, ui in zip(free, u):
-            space.set_param(name, _from_internal(ui, kinds[name]))
+        for name, kind, ui in zip(free, kinds, u):
+            space.set_param(name, kind.from_u(ui))
 
     def objective(u: np.ndarray):
         apply_vector(u)
@@ -495,37 +467,27 @@ def fit_gp(
                 )
         except NumericalError:
             return 1e25, np.zeros(len(free))
-        grad_u = np.array(
-            [-grads[name] * _chain(u[i], kinds[name]) for i, name in enumerate(free)]
-        )
-        return -log_ml, grad_u
+        grad_u = [-grads[n] * k.dvalue_du(ui) for n, k, ui in zip(free, kinds, u)]
+        return -log_ml, np.array(grad_u)
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x617]))
     y_lo, y_hi = float(np.min(data.y)), float(np.max(data.y))
     if y_hi - y_lo < 1e-12:
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
 
-    def start_vector(index: int) -> np.ndarray:
-        if index == 0:
-            raw = space.params()
-            return np.array([_to_internal(raw[n], kinds[n]) for n in free])
-        u0 = np.empty(len(free))
-        for i, name in enumerate(free):
-            lo, hi = internal_bounds[i]
-            if kinds[name] == "linear":
-                # data-scaled window instead of the huge formal bounds
-                if name.endswith("beta"):
-                    u0[i] = rng.uniform(y_lo, y_hi)
-                else:
-                    u0[i] = rng.uniform(-3.0, 3.0)
-            else:
-                u0[i] = rng.uniform(lo, hi)
-        return u0
-
-    lower, upper = np.array(internal_bounds).reshape(-1, 2).T
+    # a restart draws each free parameter uniformly in its transform's window
+    # or else its bounds, and a prior mean's offset in the targets' range
+    windows = [
+        b if k.start is None else (y_lo, y_hi) if n.endswith("beta") else k.start
+        for n, k, b in zip(free, kinds, internal_bounds)
+    ]
+    raw = space.params()
+    starts = [[k.to_u(raw[n]) for n, k in zip(free, kinds)]]
+    starts += [[rng.uniform(*w) for w in windows] for _ in range(1, restarts if free else 1)]
     # L-BFGS-B clips its start into the bounds, so every start is clipped and
     # scored there; all are drawn first, in restart order
-    starts = [np.clip(start_vector(i), lower, upper) for i in range(restarts if free else 1)]
+    lower, upper = np.array(internal_bounds).reshape(-1, 2).T
+    starts = [np.clip(u, lower, upper) for u in starts]
     # scoring the first start builds the batch's parameter-free blocks, which
     # the restarts, in this process or a forked one, then only read
     first = objective(starts[0])

@@ -154,28 +154,71 @@ def _stack(inputs: KernelInputs, field_name: str, *, exact_single: bool = False)
 # hyperparameter plumbing
 
 
-# default bounds of each transform, unless a class's `_BOUNDS` says otherwise
-_DEFAULT_BOUNDS = {"log": (1e-6, 1e3), "logit": (1e-3, 1.0 - 1e-3), "linear": (-1e6, 1e6)}
+def _logistic(u: float) -> float:
+    return 1.0 / (1.0 + np.exp(-u))
+
+
+@dataclass(frozen=True)
+class _Transform:
+    """One kind of parameter map (paramz's `Transformation`): a fit moves a
+    parameter's value v = from_u(u) through the unconstrained coordinate u,
+    with chain factor dvalue_du(u). `accepts(v)` says whether a parameter of
+    this kind may take v, and `requirement` what it must be otherwise. A
+    parameter is fitted inside `bounds` unless its class's `_BOUNDS` says
+    otherwise; restarts draw its u from `start`, or inside the transformed
+    bounds when that is None.
+    """
+
+    name: str
+    to_u: Callable[[float], float]
+    from_u: Callable[[float], float]
+    dvalue_du: Callable[[float], float]
+    accepts: Callable[[float], bool]
+    requirement: str
+    bounds: tuple[float, float]
+    start: tuple[float, float] | None = None
+
+
+# `not v <= 0` lets a NaN pass, for the likelihood to reject
+_LOG = _Transform(
+    "log", np.log, np.exp, np.exp, lambda v: not v <= 0, "must be positive", (1e-6, 1e3)
+)
+_LOGIT = _Transform(
+    "logit",
+    lambda v: np.log(v / (1.0 - v)),
+    _logistic,
+    lambda u: _logistic(u) * (1.0 - _logistic(u)),
+    lambda v: 0.0 < v < 1.0,
+    "must lie strictly in (0, 1)",
+    (1e-3, 1.0 - 1e-3),
+)
+# the formal bounds are huge, so restarts draw from a narrow window instead
+_LINEAR = _Transform(
+    "linear", float, float, lambda u: 1.0, lambda v: True, "", (-1e6, 1e6), start=(-3.0, 3.0)
+)
 
 
 class _Namespace:
     """A dotted hyperparameter namespace: own parameters plus labelled children.
 
-    Own parameters live in `_values`; the per-class `_TRANSFORMS` and
+    Own parameters are the keyword `values` of the constructor, in their
+    order, each set through `set_param`. The per-class `_TRANSFORMS` and
     `_BOUNDS` tables override `_DEFAULT_TRANSFORM` and the transform's default
     bounds. A child's parameter `p` is addressed as `label.p`, so kernels,
     prior means, GP noise and any tree of them share one set, freeze, bound
     and transform path.
     """
 
-    _TRANSFORMS: dict[str, str] = {}
+    _TRANSFORMS: dict[str, _Transform] = {}
     _BOUNDS: dict[str, tuple[float, float]] = {}
-    _DEFAULT_TRANSFORM = "log"
+    _DEFAULT_TRANSFORM = _LOG
 
-    def __init__(self, children: Sequence[tuple[str, "_Namespace"]] = ()) -> None:
-        self._values: dict[str, float] = {}
+    def __init__(self, children: Sequence[tuple[str, "_Namespace"]] = (), **values: float) -> None:
+        self._values: dict[str, float] = dict.fromkeys(values)
         self._frozen: set[str] = set()
         self.children = list(children)
+        for name, value in values.items():
+            self.set_param(name, value)
 
     def _route(self, name: str) -> tuple["_Namespace", str]:
         """The namespace that owns `name`, and the name within it."""
@@ -196,11 +239,9 @@ class _Namespace:
     def set_param(self, name: str, value: float) -> None:
         owner, own_name = self._route(name)
         value = float(value)
-        kind = owner.transform(own_name)
-        if kind == "log" and value <= 0:
-            raise ValueError(f"{name} must be positive, got {value}")
-        if kind == "logit" and not 0.0 < value < 1.0:
-            raise ValueError(f"{name} must lie strictly in (0, 1), got {value}")
+        kind = owner.kind(own_name)
+        if not kind.accepts(value):
+            raise ValueError(f"{name} {kind.requirement}, got {value}")
         owner._values[own_name] = value
 
     def frozen(self) -> set[str]:
@@ -219,15 +260,17 @@ class _Namespace:
         frozen = self.frozen()
         return [n for n in sorted(self.params()) if n not in frozen]
 
-    def transform(self, name: str) -> str:
+    def kind(self, name: str) -> _Transform:
+        """The transform a fit moves parameter `name` through."""
         owner, own_name = self._route(name)
         return owner._TRANSFORMS.get(own_name, owner._DEFAULT_TRANSFORM)
 
+    def transform(self, name: str) -> str:
+        return self.kind(name).name
+
     def bounds(self, name: str) -> tuple[float, float]:
         owner, own_name = self._route(name)
-        if own_name in owner._BOUNDS:
-            return owner._BOUNDS[own_name]
-        return _DEFAULT_BOUNDS[owner.transform(own_name)]
+        return owner._BOUNDS.get(own_name, owner.kind(own_name).bounds)
 
 
 # contract(W) -> {parameter: sum(W * dK/dparameter)} for one Gram K
@@ -293,8 +336,8 @@ class _VectorPrepared:
 class _VectorKernel(Kernel):
     """Shared plumbing for kernels operating on a single stacked vector field."""
 
-    def __init__(self, field_name: str):
-        super().__init__()
+    def __init__(self, field_name: str, **values: float):
+        super().__init__(**values)
         self.field_name = field_name
 
     def prepare(self, inputs: KernelInputs) -> _VectorPrepared:
@@ -347,9 +390,7 @@ class TanimotoKernel(_VectorKernel):
     """
 
     def __init__(self, field_name: str, variance: float = 1.0):
-        super().__init__(field_name)
-        self._values = {"variance": 1.0}
-        self.set_param("variance", variance)
+        super().__init__(field_name, variance=variance)
 
     def prepare(self, inputs: KernelInputs) -> _VectorPrepared:
         return _VectorPrepared(_stack(inputs, self.field_name, exact_single=True))
@@ -402,18 +443,10 @@ class _StationaryKernel(_VectorKernel):
     """A variance times a function of the Euclidean distance over a scalar
     lengthscale, so every point's prior variance is `variance`."""
 
-    _BOUNDS = {"variance": (1e-6, 1e3), "lengthscale": (1e-3, 1e3)}
+    _BOUNDS = {"lengthscale": (1e-3, 1e3)}
 
-    def __init__(
-        self,
-        field_name: str,
-        variance: float = 1.0,
-        lengthscale: float = 1.0,
-    ):
-        super().__init__(field_name)
-        self._values = {"variance": 1.0, "lengthscale": 1.0}
-        self.set_param("variance", variance)
-        self.set_param("lengthscale", lengthscale)
+    def __init__(self, field_name: str, variance: float = 1.0, lengthscale: float = 1.0):
+        super().__init__(field_name, variance=variance, lengthscale=lengthscale)
 
     def diag_prepared(self, prep: _VectorPrepared) -> np.ndarray:
         return np.full(prep.x.shape[0], self._values["variance"])
@@ -612,13 +645,8 @@ class KermutKernel(Kernel):
     point.
     """
 
-    _TRANSFORMS = {"mix": "logit"}
-    _BOUNDS = {
-        "variance": (1e-6, 1e3),
-        "gamma_h": (1e-3, 1e3),
-        "gamma_p": (1e-3, 1e3),
-        "gamma_d": (1e-3, 1e3),
-    }
+    _TRANSFORMS = {"mix": _LOGIT}
+    _BOUNDS = {"gamma_h": (1e-3, 1e3), "gamma_p": (1e-3, 1e3), "gamma_d": (1e-3, 1e3)}
 
     def __init__(
         self,
@@ -632,27 +660,13 @@ class KermutKernel(Kernel):
         gamma_d: float = 1.0,
     ):
         # the sequence kernel's parameters ride along under "seq."
-        super().__init__([("seq", seq_kernel)])
+        own = dict(variance=variance, mix=mix, gamma_h=gamma_h, gamma_p=gamma_p, gamma_d=gamma_d)
+        super().__init__([("seq", seq_kernel)], **own)
         self.context = context
         self.seq_kernel = seq_kernel
         if "variance" in seq_kernel.params():
             seq_kernel.set_param("variance", 1.0)
             seq_kernel.freeze("variance")
-        self._values = {
-            "variance": 1.0,
-            "mix": 0.5,
-            "gamma_h": 1.0,
-            "gamma_p": 1.0,
-            "gamma_d": 1.0,
-        }
-        for name, value in (
-            ("variance", variance),
-            ("mix", mix),
-            ("gamma_h", gamma_h),
-            ("gamma_p", gamma_p),
-            ("gamma_d", gamma_d),
-        ):
-            self.set_param(name, value)
         self._hmat = _hellinger_matrix(context.site_probs)
 
     # -- preparation

@@ -18,6 +18,7 @@ from abbo.campaign import (
     ProviderConfig,
     RoundRecord,
     SyntheticOracle,
+    _random_mutant,
     generate_pool,
     registered_method_names,
     resolve_method,
@@ -334,6 +335,25 @@ def test_pool_depends_only_on_rng_state():
     a = generate_pool(PARENTAL, 30, np.random.default_rng(42))
     b = generate_pool(PARENTAL, 30, np.random.default_rng(42))
     assert a == b
+
+
+def test_pool_equals_the_plain_rejection_loop_over_the_parental():
+    def rejection_loop(parental, size, rng, max_sites):
+        pool, seen = [], {parental}
+        while len(pool) < size:
+            candidate = _random_mutant(parental, max_sites, rng)
+            if candidate not in seen:
+                seen.add(candidate)
+                pool.append(candidate)
+        return pool
+
+    cases = [(PARENTAL, size, seed) for size in (30, 159, 400) for seed in range(10)]
+    cases += [("ACD", 1140, seed) for seed in range(3)]  # every <= 2-site mutant of ACD
+    for parental, size, seed in cases:
+        rng, expected_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        pool = generate_pool(parental, size, rng, max_sites=2)
+        assert pool == rejection_loop(parental, size, expected_rng, 2)
+        assert rng.random() == expected_rng.random()  # the same draws were taken
 
 
 def test_pool_size_feasibility_guard():

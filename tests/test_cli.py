@@ -337,6 +337,32 @@ def test_fitted_noise_init_outside_its_bounds_is_config_error(
     assert main(["validate", "--config", str(frozen)]) == EXIT_OK
 
 
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize(
+    "method, section, name, value, bounds",
+    [
+        ("ESM-M", "kernel", "lengthscale", 1.0e5, "[0.001, 1000.0]"),
+        ("OneHot-T", "kernel", "variance", 1.0e-7, "[1e-06, 1000.0]"),
+        ("Kermut-T", "kernel", "mix", 0.9999, "[0.001, 0.999]"),
+        ("IgFold-BLO-T", "kernel", "coords.lengthscale", 2.0e3, "[0.001, 1000.0]"),
+        ("OneHot-T", "mean", "beta", -2.0e6, "[-1000000.0, 1000000.0]"),
+    ],
+)
+def test_free_override_outside_its_bounds_is_config_error(
+    tmp_path, capsys, command, method, section, name, value, bounds
+):
+    config = write_config(tmp_path / "config.yaml", method=method, **{section: {name: value}})
+    code, message = run_or_validate(command, config, tmp_path / "x", capsys)
+    assert code == (EXIT_CONFIG if command == "run" else EXIT_VIOLATIONS)
+    assert f"{section}.{name} {value} lies outside its fitted bounds {bounds}" in message
+    assert not (tmp_path / "x" / "rounds.csv").exists()
+    # frozen, the fit leaves it alone, so any value the transform accepts stands
+    setting = {name: {"value": value, "frozen": True}}
+    frozen = write_config(tmp_path / "frozen.yaml", method=method, **{section: setting})
+    code, message = run_or_validate(command, frozen, tmp_path / "y", capsys)
+    assert code == EXIT_OK, message
+
+
 @pytest.mark.parametrize(
     "row",
     [
@@ -417,6 +443,22 @@ def test_collinear_parental_coordinates_fail_before_round_one(tmp_path, capsys, 
     assert code == (EXIT_FIXTURE if command == "run" else EXIT_VIOLATIONS)
     assert "coords.csv" in message
     assert "collinear" in message
+    assert not (tmp_path / "x" / "rounds.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_collinear_variant_coordinates_fail_before_round_one(tmp_path, capsys, command):
+    rng = np.random.default_rng(0)
+    variant = PARENTAL[:-1] + "W"
+    coords = tmp_path / "coords.csv"
+    good = ",".join(f"{v:.4f}" for v in rng.standard_normal(3 * len(PARENTAL)))
+    line = ",".join(f"{i}.0,{2 * i}.0,{3 * i}.0" for i in range(len(PARENTAL)))
+    coords.write_text(f"{PARENTAL},{good}\n{variant},{line}\n")
+    providers = {"coords_path": str(coords)}
+    config = write_config(tmp_path / "config.yaml", method="IgFold-M", providers=providers)
+    code, message = run_or_validate(command, config, tmp_path / "x", capsys)
+    assert code == (EXIT_FIXTURE if command == "run" else EXIT_VIOLATIONS)
+    assert f"coords.csv, sequence '{variant}': points are collinear" in message
     assert not (tmp_path / "x" / "rounds.csv").exists()
 
 

@@ -8,8 +8,10 @@ from abbo.features import (
     FixtureFeatureProvider,
     StructureContext,
     SyntheticFeatureProvider,
+    _MAX_OFFSET,
     _Frame,
     _helix_backbone,
+    _raw_position_table,
     _raw_synthetic_coords,
     _residue_offset,
     kabsch_align,
@@ -91,10 +93,9 @@ def test_prepared_reference_aligns_bitwise_like_kabsch(rng):
             assert rmsd[0] == expected_rmsd
 
 
-def test_prepared_reference_keeps_every_check_on_mobile():
+def test_prepared_reference_checks_the_reference_and_the_mobile_shape():
+    # a mobile row's collinearity is checked where the row enters a provider
     frame = _Frame(np.random.default_rng(0).standard_normal((5, 3)), "reference")
-    with pytest.raises(ValueError, match="mobile points are collinear"):
-        frame.align_many(np.stack([np.arange(5.0)] * 3, axis=1)[None])
     with pytest.raises(ValueError, match="shape mismatch"):
         frame.align_many(np.zeros((1, 4, 3)))
     with pytest.raises(ValueError, match="at least 3 points"):
@@ -275,17 +276,44 @@ class TestSyntheticFeatures:
         part = provider.features_many(seqs[5:9])
         assert np.array_equal(part.coords, batch.coords[5:9])
 
-    def test_stacked_alignment_checks_every_member(self):
+    def test_stacked_alignment_checks_the_stack_shape(self):
         frame = _Frame(np.random.default_rng(0).standard_normal((5, 3)), "reference")
         good = np.random.default_rng(1).standard_normal((5, 3))
-        line = np.stack([np.arange(5.0)] * 3, axis=1)
-        with pytest.raises(ValueError, match="mobile points are collinear"):
-            frame.align_many(np.stack([good, line, good]))
         with pytest.raises(ValueError, match="shape mismatch"):
             frame.align_many(np.zeros((2, 4, 3)))
         aligned, rmsd = frame.align_many(np.stack([good, good]))
         assert np.array_equal(aligned[0], aligned[1])
         assert rmsd.shape == (2,)
+
+    def test_a_build_cannot_be_collinear(self):
+        # Point 1 of the helix lies `gap` off the line through points 0 and 2,
+        # and every build's first three points are those plus offsets of norm
+        # at most _MAX_OFFSET. Moving point 1 closes at most one offset of the
+        # gap; moving points 0 and 2 moves the line near point 1 by at most
+        # another (farther along the line the points are already farther).
+        p0, p1, p2 = _helix_backbone(3)
+        axis = (p2 - p0) / np.linalg.norm(p2 - p0)
+        gap = np.linalg.norm(np.cross(p1 - p0, axis))
+        assert gap == pytest.approx(2.70, abs=0.005)
+        assert gap - 2 * _MAX_OFFSET > 1.0
+        offsets = _raw_position_table(len(PARENTAL), 5) - _helix_backbone(len(PARENTAL))[:, None]
+        assert np.linalg.norm(offsets, axis=-1).max() <= _MAX_OFFSET
+        # the worst case: point 1 moved towards the line, 0 and 2 away from it
+        towards = (p1 - p0) - ((p1 - p0) @ axis) * axis
+        shift = _MAX_OFFSET * towards / np.linalg.norm(towards)
+        q0, q1, q2 = p0 + shift, p1 - shift, p2 + shift
+        closed = np.linalg.norm(np.cross(q1 - q0, (q2 - q0) / np.linalg.norm(q2 - q0)))
+        assert closed == pytest.approx(gap - 2 * _MAX_OFFSET)
+        # and no random choice of offsets closes more
+        rng = np.random.default_rng(0)
+        moves = rng.standard_normal((10_000, 3, 3))
+        moves *= rng.uniform(0.0, _MAX_OFFSET, (10_000, 3, 1)) / np.linalg.norm(
+            moves, axis=-1, keepdims=True
+        )
+        q = np.array([p0, p1, p2]) + moves
+        d = q[:, 2] - q[:, 0]
+        dist = np.linalg.norm(np.cross(q[:, 1] - q[:, 0], d), axis=-1) / np.linalg.norm(d, axis=-1)
+        assert dist.min() >= gap - 2 * _MAX_OFFSET
 
     def test_rmsd_is_that_of_the_aligned_coords(self, rng):
         provider = SyntheticFeatureProvider(PARENTAL, seed=3)
@@ -365,6 +393,14 @@ class TestFixtureProviders:
         coords = tmp_path / "coords.csv"
         coords.write_text("ACD,0,0,0,1,1,1,2,2,2\nACY,0,0,0,1,0,0,0,1,0\n")
         with pytest.raises(FixtureError, match="coords.csv.*parental row.*collinear"):
+            FixtureFeatureProvider("ACD", coords_path=coords)
+
+    def test_collinear_variant_row_fails_at_construction(self, tmp_path):
+        coords = tmp_path / "coords.csv"
+        coords.write_text(
+            "ACD,0,0,0,1,0,0,0,1,0\nACY,0,0,0,1,0,0,0,0,1\nACW,0,0,0,1,1,1,2,2,2\n"
+        )
+        with pytest.raises(FixtureError, match="coords.csv, sequence 'ACW'.*collinear"):
             FixtureFeatureProvider("ACD", coords_path=coords)
 
     def test_coords_fixture_requires_parental_row(self, tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,10 @@ from abbo.kernels import (
     SumKernel,
     TanimotoKernel,
     _exp,
+    _LINEAR,
+    _LOG,
+    _LOGIT,
+    _Namespace,
     hellinger,
     kermut_params_from_original,
     kermut_params_to_original,
@@ -460,6 +466,39 @@ def test_kermut_mix_bounds_enforced(kermut):
         kernel.set_param("mix", 0.0)
     with pytest.raises(ValueError):
         kernel.set_param("variance", -1.0)
+
+
+@pytest.mark.parametrize(
+    "kind, values, rejected",
+    [
+        pytest.param(
+            _LOG, [1e-6, 0.37, 2.0, 1e3], {v: "must be positive" for v in (0.0, -1.5)}, id="log"
+        ),
+        pytest.param(
+            _LOGIT,
+            [1e-3, 0.37, 0.5, 0.999],
+            {v: "must lie strictly in (0, 1)" for v in (0.0, 1.0, -0.5, 1.5)},
+            id="logit",
+        ),
+        pytest.param(_LINEAR, [-1e6, -2.5, 0.0, 3.1, 1e6], {}, id="linear"),
+    ],
+)
+def test_transform_round_trips_chains_and_validates(kind, values, rejected):
+    for value in [*values, *kind.bounds]:
+        u = kind.to_u(value)
+        assert kind.from_u(u) == pytest.approx(value, rel=1e-12)
+        numeric = central_difference(kind.from_u, u, 1e-6 * max(1.0, abs(u)))
+        assert kind.dvalue_du(u) == pytest.approx(numeric, rel=1e-6)
+        assert kind.accepts(value)
+    # a namespace of one parameter of this kind, on its own and as a child
+    one = type("One", (_Namespace,), {"_DEFAULT_TRANSFORM": kind})(p=values[1])
+    root = _Namespace([("child", one)])
+    assert (root.transform("child.p"), root.bounds("child.p")) == (kind.name, kind.bounds)
+    for value, requirement in rejected.items():
+        for space, name in ((one, "p"), (root, "child.p")):
+            with pytest.raises(ValueError, match=re.escape(f"{name} {requirement}, got {value}")):
+                space.set_param(name, value)
+    assert root.params() == {"child.p": values[1]}
 
 
 def test_cached_gram_blocks_are_parameter_free(rng):
